@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
       [&](sld::bench::BenchIteration& it) {
         sld::util::Rng rng(args.seed);
         sld::util::Table table({"P", "m", "Pr_analytic", "Pr_monte_carlo"});
-        for (const std::size_t m : {1, 2, 4, 8}) {
+        for (const std::size_t m : {1u, 2u, 4u, 8u}) {
           for (double P = 0.0; P <= 1.0 + 1e-9; P += 0.05) {
             if (P > 1.0) P = 1.0;
             table.row()

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
         {
           sld::util::Table table({"P", "tau2", "Pd"});
           params.detecting_ids = 8;
-          for (const std::uint32_t tau2 : {2, 3, 4, 5}) {
+          for (const std::uint32_t tau2 : {2u, 3u, 4u, 5u}) {
             params.alert_threshold = tau2;
             for (double P = 0.0; P <= 1.0 + 1e-9; P += 0.02) {
               if (P > 1.0) P = 1.0;
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
         {
           sld::util::Table table({"P", "m", "Pd"});
           params.alert_threshold = 4;
-          for (const std::size_t m : {1, 2, 4, 8}) {
+          for (const std::size_t m : {1u, 2u, 4u, 8u}) {
             params.detecting_ids = m;
             for (double P = 0.0; P <= 1.0 + 1e-9; P += 0.02) {
               if (P > 1.0) P = 1.0;

@@ -18,8 +18,8 @@ int main(int argc, char** argv) {
         sld::analysis::ModelParams params;
 
         sld::util::Table table({"P", "tau2", "m", "N_affected"});
-        for (const std::uint32_t tau2 : {2, 3, 4}) {
-          for (const std::size_t m : {8, 4}) {
+        for (const std::uint32_t tau2 : {2u, 3u, 4u}) {
+          for (const std::size_t m : {8u, 4u}) {
             params.alert_threshold = tau2;
             params.detecting_ids = m;
             for (double P = 0.0; P <= 1.0 + 1e-9; P += 0.02) {

@@ -19,8 +19,8 @@ int main(int argc, char** argv) {
 
         sld::util::Table table(
             {"Nc", "m", "tau2", "N_affected_max", "argmax_P"});
-        for (const std::size_t m : {8, 4, 2}) {
-          for (const std::uint32_t tau2 : {2, 3}) {
+        for (const std::size_t m : {8u, 4u, 2u}) {
+          for (const std::uint32_t tau2 : {2u, 3u}) {
             params.detecting_ids = m;
             params.alert_threshold = tau2;
             for (std::size_t nc = 2; nc <= 250; nc += 4) {

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
         const double P = 0.1;
 
         sld::util::Table table({"tau1", "Nc", "Po"});
-        for (const std::size_t nc : {10, 50, 100, 150, 200}) {
+        for (const std::size_t nc : {10u, 50u, 100u, 150u, 200u}) {
           params.requesters_per_beacon = nc;
           for (std::uint32_t tau1 = 0; tau1 <= 20; ++tau1) {
             params.report_quota = tau1;

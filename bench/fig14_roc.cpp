@@ -22,8 +22,8 @@ int main(int argc, char** argv) {
         sld::util::Table table({"Na", "tau2", "tau1", "false_positive_rate",
                                 "fp_rate_theory_Nf", "detection_rate",
                                 "attacker_P"});
-        for (const std::size_t na : {5, 10}) {
-          for (const std::uint32_t tau2 : {2, 3, 4}) {
+        for (const std::size_t na : {5u, 10u}) {
+          for (const std::uint32_t tau2 : {2u, 3u, 4u}) {
             for (const std::uint32_t tau1 : tau1_sweep) {
               sld::core::ExperimentConfig e;
               e.base.deployment.malicious_beacon_count = na;

@@ -31,8 +31,8 @@ int main() {
 
   double best_nf = 1e18;
   std::uint32_t best_tau1 = 0, best_tau2 = 0;
-  for (const std::uint32_t tau2 : {1, 2, 3, 4, 5}) {
-    for (const std::uint32_t tau1 : {2, 5, 10, 15, 20}) {
+  for (const std::uint32_t tau2 : {1u, 2u, 3u, 4u, 5u}) {
+    for (const std::uint32_t tau1 : {2u, 5u, 10u, 15u, 20u}) {
       ModelParams p = base;
       p.report_quota = tau1;
       p.alert_threshold = tau2;

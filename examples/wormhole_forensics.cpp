@@ -61,7 +61,9 @@ void report(const char* title, const sld::core::TrialSummary& s) {
 // tools/trace_report.py; this example only needs a handful of fields.
 
 std::string field_raw(const std::string& line, const char* key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  std::string needle = "\"";
+  needle += key;
+  needle += "\":";
   const auto pos = line.find(needle);
   if (pos == std::string::npos) return "";
   const auto start = pos + needle.size();

@@ -1,6 +1,7 @@
 #include "core/nodes.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -705,6 +706,11 @@ void SensorNode::on_message(const sim::Delivery& delivery) {
   const sim::NodeId target = it->second.target;
   pending_.erase(it);
   if (delivery.msg.src != target) return;
+  // A compromised beacon holds valid keys, so a correctly MACed reply can
+  // claim a non-finite position. It must never become a location reference.
+  if (!std::isfinite(reply.claimed_position.x) ||
+      !std::isfinite(reply.claimed_position.y))
+    return;
   ++ctx_.metrics.sensor_replies;
 
   const auto m = ctx_.measure(

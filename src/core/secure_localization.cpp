@@ -426,6 +426,9 @@ void SecureLocalizationSystem::schedule_failover() {
 }
 
 void SecureLocalizationSystem::schedule_finalize() {
+  // max_targets counts every node a sensor is connected to, not only the
+  // beacons it queries. Counting only beacons would move finalize_at, and
+  // with it every golden.
   std::size_t max_targets = 0;
   for (const auto* s : sensor_nodes_)
     max_targets = std::max(

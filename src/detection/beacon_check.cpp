@@ -24,7 +24,13 @@ ConsistencyResult ConsistencyCheck::check(const util::Vec2& detector_position,
   ConsistencyResult r;
   r.calculated_ft = calculated_distance(detector_position, claimed_position);
   r.deviation_ft = std::abs(r.calculated_ft - measured_distance_ft);
-  r.malicious = r.deviation_ft > max_error_ft_;
+  // A compromised beacon holds valid keys, so a correctly MACed reply can
+  // claim NaN or an infinity. NaN compares false against the bound, so
+  // non-finite inputs are flagged outright: the check fails closed.
+  const bool finite_inputs = std::isfinite(claimed_position.x) &&
+                             std::isfinite(claimed_position.y) &&
+                             std::isfinite(measured_distance_ft);
+  r.malicious = !finite_inputs || r.deviation_ft > max_error_ft_;
   return r;
 }
 

@@ -37,7 +37,8 @@ class ConsistencyCheck {
   static double calculated_distance(const util::Vec2& detector_position,
                                     const util::Vec2& claimed_position);
 
-  /// The verdict plus the measured-vs-calculated evidence behind it.
+  /// The verdict plus the measured-vs-calculated evidence behind it. A
+  /// non-finite claimed coordinate or measured distance is malicious.
   ConsistencyResult check(const util::Vec2& detector_position,
                           const util::Vec2& claimed_position,
                           double measured_distance_ft) const;

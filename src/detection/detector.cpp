@@ -67,10 +67,12 @@ ProbeOutcome Detector::evaluate(const SignalObservation& observation,
                     .f("target", observation.sender_id)
                     .f("outcome", outcome_name(outcome)));
   }
+  // Written so a NaN deviation (a non-finite claim or measurement) must
+  // read as malicious.
   SLD_INVARIANT(consistency.malicious ==
-                    (consistency.deviation_ft > consistency_.max_error_ft()),
-                "consistency verdict must match the measured-vs-expected "
-                "deviation: deviation="
+                    !(consistency.deviation_ft <= consistency_.max_error_ft()),
+                "consistency verdict must be malicious exactly when the "
+                "deviation is not within the bound: deviation="
                     << consistency.deviation_ft
                     << " ft, threshold=" << consistency_.max_error_ft()
                     << " ft, malicious=" << consistency.malicious);

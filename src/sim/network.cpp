@@ -1,6 +1,11 @@
 #include "sim/network.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+
+#include "util/geometry.hpp"
 
 namespace sld::sim {
 
@@ -9,43 +14,144 @@ Network::Network(ChannelConfig channel_config, std::uint64_t seed)
 
 void Network::register_node(std::unique_ptr<Node> node) {
   Node* raw = node.get();
-  if (by_id_.contains(raw->id()))
+  if (index_of_.contains(raw->id()))
     throw std::invalid_argument("Network: duplicate node id");
   channel_.add_node(raw);
   raw->attach(&channel_, &scheduler_);
-  by_id_.emplace(raw->id(), raw);
+  index_of_.emplace(raw->id(), order_.size());
   order_.push_back(raw);
   owned_.push_back(std::move(node));
 }
 
 Node* Network::node(NodeId id) const {
-  const auto it = by_id_.find(id);
-  return it == by_id_.end() ? nullptr : it->second;
+  const auto it = index_of_.find(id);
+  return it == index_of_.end() ? nullptr : order_[it->second];
 }
 
-std::vector<NodeId> Network::direct_neighbors(NodeId id) const {
-  const Node* center = node(id);
-  if (center == nullptr)
-    throw std::invalid_argument("Network::direct_neighbors: unknown node");
-  std::vector<NodeId> out;
-  for (const Node* other : order_) {
-    if (other == center) continue;
-    if (channel_.direct_reach(center->position(), center->range(), *other))
-      out.push_back(other->id());
-  }
-  return out;
-}
-
-std::vector<NodeId> Network::connected_nodes(NodeId id) const {
-  const Node* center = node(id);
-  if (center == nullptr)
+const std::vector<NodeId>& Network::connected_nodes(NodeId id) const {
+  const auto it = index_of_.find(id);
+  if (it == index_of_.end())
     throw std::invalid_argument("Network::connected_nodes: unknown node");
-  std::vector<NodeId> out;
-  for (const Node* other : order_) {
-    if (other == center) continue;
-    if (channel_.connected(*center, *other)) out.push_back(other->id());
+  if (table_nodes_ != order_.size() ||
+      table_wormholes_ != channel_.wormholes().size())
+    build_neighbor_table();
+  return neighbors_[it->second];
+}
+
+namespace {
+/// Cell of coordinate `v` on an axis of `cells` cells of width `side` that
+/// starts at `lo`. Clamping only merges cells, so it never puts two points
+/// more cells apart than their unclamped cells are.
+std::size_t cell_index(double v, double lo, double side, std::size_t cells) {
+  const double c = std::floor((v - lo) / side);
+  if (!(c > 0.0)) return 0;  // also NaN
+  if (c >= static_cast<double>(cells - 1)) return cells - 1;
+  return static_cast<std::size_t>(c);
+}
+}  // namespace
+
+void Network::build_neighbor_table() const {
+  const std::size_t n = order_.size();
+  const std::vector<WormholeLink>& wormholes = channel_.wormholes();
+  neighbors_.assign(n, {});
+  table_nodes_ = n;
+  table_wormholes_ = wormholes.size();
+  if (n == 0) return;
+
+  double max_range = 0.0;
+  double lo_x = std::numeric_limits<double>::infinity(), lo_y = lo_x;
+  double hi_x = -lo_x, hi_y = -lo_x;
+  for (const Node* node : order_) {
+    max_range = std::max(max_range, node->range());
+    lo_x = std::min(lo_x, node->position().x);
+    lo_y = std::min(lo_y, node->position().y);
+    hi_x = std::max(hi_x, node->position().x);
+    hi_y = std::max(hi_y, node->position().y);
   }
-  return out;
+
+  // Uniform grid with cells at least as wide as the largest range, so every
+  // node a receiver hears directly sits in the receiver's 3x3 block. The
+  // 1e-6 margin absorbs rounding in the cell arithmetic and in the
+  // squared-distance test. Sparse or thin layouts get wider cells, so there
+  // are at most about three cells per node. A span that is not finite
+  // leaves one cell holding every node. (A NaN position lands in some cell
+  // and fails every distance test, as it does in the predicate.)
+  std::size_t nx = 1;
+  std::size_t ny = 1;
+  double side = max_range * (1.0 + 1e-6);
+  const double span_x = hi_x - lo_x;
+  const double span_y = hi_y - lo_y;
+  if (std::isfinite(span_x) && std::isfinite(span_y) && std::isfinite(side)) {
+    const double m = static_cast<double>(n);
+    side = std::max({side, span_x / m, span_y / m, std::sqrt(span_x / m * span_y)});
+    nx = static_cast<std::size_t>(span_x / side) + 1;
+    ny = static_cast<std::size_t>(span_y / side) + 1;
+  }
+
+  // Counting sort of the nodes into cells; each cell keeps registration
+  // order.
+  std::vector<std::size_t> cell_of(n);
+  std::vector<std::size_t> cell_start(nx * ny + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const util::Vec2& p = order_[i]->position();
+    cell_of[i] = cell_index(p.y, lo_y, side, ny) * nx +
+                 cell_index(p.x, lo_x, side, nx);
+    ++cell_start[cell_of[i] + 1];
+  }
+  for (std::size_t c = 0; c < nx * ny; ++c) cell_start[c + 1] += cell_start[c];
+  std::vector<std::size_t> members(n);
+  {
+    std::vector<std::size_t> next(cell_start.begin(), cell_start.end() - 1);
+    for (std::size_t i = 0; i < n; ++i) members[next[cell_of[i]]++] = i;
+  }
+
+  // Senders within their own range of each mouth: reach[2w] at mouth_a,
+  // reach[2w + 1] at mouth_b (the sender half of Channel::connected's
+  // tunnel test).
+  std::vector<std::vector<std::size_t>> reach(2 * wormholes.size());
+  for (std::size_t w = 0; w < wormholes.size(); ++w) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const Node& a = *order_[i];
+      const double r2 = a.range() * a.range();
+      if (util::distance_squared(a.position(), wormholes[w].mouth_a) <= r2)
+        reach[2 * w].push_back(i);
+      if (util::distance_squared(a.position(), wormholes[w].mouth_b) <= r2)
+        reach[2 * w + 1].push_back(i);
+    }
+  }
+
+  // Receivers in registration order, each appended to every candidate
+  // sender the channel predicate accepts, so every list comes out in
+  // registration order. tried[i] == j + 1 once sender i was tried for
+  // receiver j, which skips candidates found twice.
+  std::vector<std::size_t> tried(n, 0);
+  for (std::size_t j = 0; j < n; ++j) {
+    const Node& b = *order_[j];
+    const auto consider = [&](std::size_t i) {
+      if (i == j || tried[i] == j + 1) return;
+      tried[i] = j + 1;
+      if (channel_.connected(*order_[i], b)) neighbors_[i].push_back(b.id());
+    };
+    const std::size_t cx = cell_of[j] % nx;
+    const std::size_t cy = cell_of[j] / nx;
+    for (std::size_t gy = cy == 0 ? 0 : cy - 1; gy <= std::min(cy + 1, ny - 1);
+         ++gy) {
+      for (std::size_t gx = cx == 0 ? 0 : cx - 1;
+           gx <= std::min(cx + 1, nx - 1); ++gx) {
+        const std::size_t c = gy * nx + gx;
+        for (std::size_t k = cell_start[c]; k < cell_start[c + 1]; ++k)
+          consider(members[k]);
+      }
+    }
+    for (std::size_t w = 0; w < wormholes.size(); ++w) {
+      const WormholeLink& link = wormholes[w];
+      const double exit2 = link.exit_range_ft * link.exit_range_ft;
+      if (util::distance_squared(link.mouth_b, b.position()) <= exit2)
+        for (const std::size_t i : reach[2 * w]) consider(i);
+      if (util::distance_squared(link.mouth_a, b.position()) <= exit2)
+        for (const std::size_t i : reach[2 * w + 1]) consider(i);
+    }
+  }
 }
 
 void Network::start_all() {

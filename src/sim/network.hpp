@@ -2,6 +2,7 @@
 // neighbourhood queries.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -40,11 +41,12 @@ class Network {
   std::size_t node_count() const { return order_.size(); }
   const std::vector<Node*>& nodes() const { return order_; }
 
-  /// IDs of nodes that can hear `id` directly (no wormholes).
-  std::vector<NodeId> direct_neighbors(NodeId id) const;
-
-  /// IDs of nodes connected to `id` directly or through a wormhole.
-  std::vector<NodeId> connected_nodes(NodeId id) const;
+  /// IDs of the nodes a transmission from `id` reaches directly or through
+  /// a wormhole (Channel::connected), in registration order. Reads a
+  /// neighbour table built on the first query and rebuilt on the first
+  /// query after a node or wormhole is added; the returned list stays valid
+  /// until then. Not safe to call concurrently on one Network.
+  const std::vector<NodeId>& connected_nodes(NodeId id) const;
 
   /// Calls start() on every node in registration order.
   void start_all();
@@ -55,12 +57,20 @@ class Network {
 
  private:
   void register_node(std::unique_ptr<Node> node);
+  void build_neighbor_table() const;
 
   Scheduler scheduler_;
   Channel channel_;
   std::vector<std::unique_ptr<Node>> owned_;
   std::vector<Node*> order_;
-  std::unordered_map<NodeId, Node*> by_id_;
+  /// Registration index of each node ID.
+  std::unordered_map<NodeId, std::size_t> index_of_;
+
+  /// connected_nodes of every node, by registration index, and the node and
+  /// wormhole counts it was built for.
+  mutable std::vector<std::vector<NodeId>> neighbors_;
+  mutable std::size_t table_nodes_ = 0;
+  mutable std::size_t table_wormholes_ = 0;
 };
 
 }  // namespace sld::sim

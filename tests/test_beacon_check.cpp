@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ranging/rssi.hpp"
 #include "util/rng.hpp"
 
@@ -102,6 +104,20 @@ TEST(ConsistencyCheck, Validation) {
   ConsistencyCheck check(4.0);
   EXPECT_THROW(check.is_malicious({0, 0}, {1, 1}, -0.1),
                std::invalid_argument);
+}
+
+TEST(ConsistencyCheck, NonFiniteInputsAreMalicious) {
+  // A compromised beacon's reply is correctly MACed, so it can claim any
+  // double. NaN compares false against the bound; the check fails closed.
+  ConsistencyCheck check(4.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    EXPECT_TRUE(check.is_malicious({0, 0}, {bad, 0}, 100.0)) << bad;
+    EXPECT_TRUE(check.is_malicious({0, 0}, {100, bad}, 100.0)) << bad;
+  }
+  EXPECT_TRUE(check.is_malicious({0, 0}, {nan, nan}, 100.0));
+  EXPECT_TRUE(check.is_malicious({0, 0}, {100, 0}, nan));
 }
 
 TEST(ConsistencyCheck, ZeroErrorBoundFlagsAnyDeviation) {

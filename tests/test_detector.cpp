@@ -124,7 +124,8 @@ TEST_F(DetectorTest, DetectionRateMatchesPrFormula) {
   constexpr int kDetectingNodes = 4000;
   sim::NodeId next_id = 1;
   for (int node = 0; node < kDetectingNodes; ++node) {
-    attack::MaliciousBeaconStrategy strategy(cfg, 1000 + node);
+    attack::MaliciousBeaconStrategy strategy(
+        cfg, static_cast<std::uint64_t>(1000 + node));
     bool detected = false;
     for (std::size_t k = 0; k < m; ++k) {
       const sim::NodeId detecting_id = next_id++;

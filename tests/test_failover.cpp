@@ -76,8 +76,8 @@ std::vector<TimedAlert> scripted_alerts() {
                                 12 * kSecond, 13 * kSecond, 21 * kSecond,
                                 22 * kSecond};
   int i = 0;
-  for (const sim::NodeId target : {50, 60}) {
-    for (const sim::NodeId reporter : {101, 102, 103}) {
+  for (const sim::NodeId target : {50u, 60u}) {
+    for (const sim::NodeId reporter : {101u, 102u, 103u}) {
       alerts.push_back(
           {times[static_cast<std::size_t>(i++ % 7)], reporter, target,
            nonce++});
@@ -198,7 +198,7 @@ TEST(Failover, FailoverRevokesExactlyTheUninterruptedSet) {
   EXPECT_EQ(failover.stats().failovers, 1u);
   EXPECT_EQ(failover.authority().revocation_order(),
             uninterrupted.authority().revocation_order());
-  for (const sim::NodeId target : {50, 60, 70}) {
+  for (const sim::NodeId target : {50u, 60u, 70u}) {
     EXPECT_EQ(failover.is_revoked(target), uninterrupted.is_revoked(target))
         << "target " << target;
     EXPECT_EQ(failover.alert_counter(target),

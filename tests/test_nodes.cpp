@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "crypto/mac.hpp"
 #include "sim/network.hpp"
 
@@ -18,6 +20,43 @@ class ProbeNode final : public sim::Node {
   void on_message(const sim::Delivery& d) override { inbox.push_back(d); }
   std::vector<sim::Delivery> inbox;
 };
+
+/// A message MACed under the pairwise key of (src, dst).
+sim::Message authed(const crypto::PairwiseKeyManager& keys, sim::NodeId src,
+                    sim::NodeId dst, sim::MsgType type, util::Bytes payload) {
+  sim::Message m;
+  m.src = src;
+  m.dst = dst;
+  m.type = type;
+  m.payload = std::move(payload);
+  m.mac = crypto::compute_mac(keys.pairwise_key(src, dst), src, dst, m.payload);
+  return m;
+}
+
+/// A compromised beacon: it holds valid keys and answers every request with
+/// a correctly MACed reply claiming `claim`.
+class InsiderBeacon final : public sim::Node {
+ public:
+  InsiderBeacon(sim::NodeId id, util::Vec2 position, double range_ft,
+                const crypto::PairwiseKeyManager& keys, util::Vec2 claim)
+      : Node(id, position, range_ft), keys_(keys), claim_(claim) {}
+  bool is_beacon() const override { return true; }
+  void on_message(const sim::Delivery& d) override {
+    if (d.msg.type != sim::MsgType::kBeaconRequest) return;
+    sim::BeaconReplyPayload reply;
+    reply.nonce = sim::BeaconRequestPayload::parse(d.msg.payload).nonce;
+    reply.claimed_position = claim_;
+    channel().unicast(*this, authed(keys_, id(), d.msg.src,
+                                    sim::MsgType::kBeaconReply,
+                                    reply.serialize()));
+  }
+
+ private:
+  const crypto::PairwiseKeyManager& keys_;
+  util::Vec2 claim_;
+};
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 class NodeProtocolTest : public ::testing::Test {
  protected:
@@ -34,14 +73,7 @@ class NodeProtocolTest : public ::testing::Test {
 
   sim::Message authed(sim::NodeId src, sim::NodeId dst, sim::MsgType type,
                       util::Bytes payload) {
-    sim::Message m;
-    m.src = src;
-    m.dst = dst;
-    m.type = type;
-    m.payload = std::move(payload);
-    m.mac = crypto::compute_mac(ctx_.keys.pairwise_key(src, dst), src, dst,
-                                m.payload);
-    return m;
+    return core::authed(ctx_.keys, src, dst, type, std::move(payload));
   }
 
   SystemConfig config_ = make_config();
@@ -217,6 +249,55 @@ TEST_F(NodeProtocolTest, SensorIgnoresDuplicateReplies) {
   // The request and the reply each traverse direct + two tunnel paths,
   // but only one reply is counted.
   EXPECT_EQ(ctx_.metrics.sensor_replies, 1u);
+}
+
+TEST_F(NodeProtocolTest, DetectingBeaconAlertsOnNonFiniteClaim) {
+  // The insider's reply passes MAC verification, so only the consistency
+  // check stands between its NaN claim and a "consistent" verdict.
+  const sim::NodeId det_id = sim::kNonBeaconIdBase + 300;
+  auto& detector = net_.emplace_node<BeaconNode>(
+      1, util::Vec2{100, 100}, 150.0, ctx_, std::vector<sim::NodeId>{det_id});
+  net_.add_alias(det_id, detector);
+  auto& insider = net_.emplace_node<InsiderBeacon>(
+      2, util::Vec2{150, 100}, 150.0, ctx_.keys, util::Vec2{kNaN, kNaN});
+
+  detector.set_probe_targets({insider.id()});
+  detector.start();
+  net_.run();
+
+  EXPECT_EQ(ctx_.metrics.mac_failures, 0u);
+  EXPECT_EQ(ctx_.metrics.probe_replies, 1u);
+  EXPECT_EQ(ctx_.metrics.consistency_flags, 1u);
+  EXPECT_EQ(ctx_.metrics.alerts_submitted, 1u);
+  EXPECT_EQ(ctx_.bs().alert_counter(insider.id()), 1u);
+}
+
+TEST_F(NodeProtocolTest, SensorDropsNonFiniteClaims) {
+  auto& sensor = net_.emplace_node<SensorNode>(
+      sim::kNonBeaconIdBase, util::Vec2{500, 500}, 150.0, ctx_);
+  std::vector<sim::NodeId> beacon_ids;
+  const util::Vec2 spots[] = {{450, 450}, {560, 470}, {480, 590}, {555, 555}};
+  sim::NodeId next = 1;
+  for (const auto& p : spots) {
+    auto& b = net_.emplace_node<BeaconNode>(next, p, 150.0, ctx_,
+                                            std::vector<sim::NodeId>{});
+    ctx_.truth[b.id()] = BeaconTruth{p, false};
+    beacon_ids.push_back(next++);
+  }
+  auto& insider = net_.emplace_node<InsiderBeacon>(
+      next, util::Vec2{530, 440}, 150.0, ctx_.keys, util::Vec2{kNaN, 440.0});
+  beacon_ids.push_back(insider.id());
+  sensor.set_query_targets(beacon_ids);
+  sensor.start();
+  net_.run();
+  sensor.finalize();
+
+  // Only the four honest replies count; the sensor localizes from them.
+  EXPECT_EQ(ctx_.metrics.sensor_requests, 5u);
+  EXPECT_EQ(ctx_.metrics.sensor_replies, 4u);
+  ASSERT_TRUE(sensor.result().has_value());
+  EXPECT_LT(util::distance(sensor.result()->position, sensor.position()),
+            10.0);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 // attack effectiveness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "analysis/formulas.hpp"
@@ -60,6 +62,53 @@ TEST(DetectionProperty, HonestRssiMeasurementNeverFlags) {
         const double truth = util::distance(p.detector, p.beacon);
         const double measured = rssi.measure(truth, rng);
         return !check.is_malicious(p.detector, p.beacon, measured);
+      }));
+}
+
+TEST(DetectionProperty, ConsistentVerdictImpliesFiniteInputsWithinBound) {
+  // Fail-closed soundness against an insider, whose correctly MACed reply
+  // can carry any double: "consistent" implies a finite claim and
+  // measurement with |d - |c - r|| <= e.
+  struct Case {
+    util::Vec2 receiver;
+    util::Vec2 claim;
+    double measured = 0.0;
+    double max_error = 0.0;
+  };
+  prop::Gen<Case> gen;
+  gen.generate = [](util::Rng& rng) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const double specials[] = {nan, inf, -inf};
+    Case c;
+    c.receiver = {rng.uniform(-500.0, 500.0), rng.uniform(-500.0, 500.0)};
+    const double angle = rng.uniform(-kPi, kPi);
+    const double dist = rng.uniform(0.0, 300.0);
+    c.claim = c.receiver +
+              util::Vec2{dist * std::cos(angle), dist * std::sin(angle)};
+    c.max_error = rng.uniform(0.0, 10.0);
+    // About half the finite cases land within the bound.
+    c.measured = std::max(0.0, dist + rng.uniform(-2.0, 2.0) * c.max_error);
+    if (rng.bernoulli(0.2)) c.claim.x = specials[rng.uniform_u64(3)];
+    if (rng.bernoulli(0.2)) c.claim.y = specials[rng.uniform_u64(3)];
+    if (rng.bernoulli(0.2)) c.measured = specials[rng.uniform_u64(2)];
+    return c;
+  };
+  gen.show = [](const Case& c) {
+    std::ostringstream os;
+    os << "{receiver=(" << c.receiver.x << "," << c.receiver.y << ") claim=("
+       << c.claim.x << "," << c.claim.y << ") measured=" << c.measured
+       << " e=" << c.max_error << "}";
+    return os.str();
+  };
+  EXPECT_TRUE(prop::forall(
+      "consistent implies finite inputs within e", gen, [](const Case& c) {
+        const detection::ConsistencyCheck check(c.max_error);
+        if (check.check(c.receiver, c.claim, c.measured).malicious) return true;
+        return std::isfinite(c.claim.x) && std::isfinite(c.claim.y) &&
+               std::isfinite(c.measured) &&
+               std::abs(c.measured - util::distance(c.receiver, c.claim)) <=
+                   c.max_error;
       }));
 }
 
@@ -189,7 +238,7 @@ TEST(DetectionProperty, StrategyPartitionMatchesClosedFormEffectiveness) {
         const int kRequesters = 4000;
         int effective = 0;
         for (int i = 0; i < kRequesters; ++i) {
-          const auto id = static_cast<sim::NodeId>(0x00100000u + i);
+          const auto id = 0x00100000u + static_cast<sim::NodeId>(i);
           if (strategy.behavior_for(id) == attack::MaliciousBehavior::kEffective)
             ++effective;
         }

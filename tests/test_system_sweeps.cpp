@@ -3,11 +3,22 @@
 // a down-scaled (600-node) deployment for speed.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "analysis/formulas.hpp"
 #include "core/experiment.hpp"
 
 namespace sld::core {
 namespace {
+
+/// gtest parameter name "<prefix><value>", built by appending: GCC 12
+/// reports a false -Wrestrict on `const char* + std::string&&`.
+template <typename T>
+std::string param_name(const char* prefix, T value) {
+  std::string name = prefix;
+  name += std::to_string(value);
+  return name;
+}
 
 SystemConfig sweep_config(std::uint64_t seed) {
   SystemConfig c;
@@ -55,15 +66,16 @@ TEST_P(EffectivenessSweep, InvariantsHoldAndFalsePositivesStayLow) {
   // Without collusion, benign beacons are essentially never revoked.
   EXPECT_LE(s.benign_revoked, 3u);
   // Dormant attackers are never detected; active ones eventually are.
-  if (GetParam() == 0.0) EXPECT_EQ(s.malicious_revoked, 0u);
+  if (GetParam() == 0.0) {
+    EXPECT_EQ(s.malicious_revoked, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AttackLevels, EffectivenessSweep,
                          ::testing::Values(0.0, 0.05, 0.2, 0.4, 0.6, 0.8,
                                            1.0),
-                         [](const auto& info) {
-                           return "P" + std::to_string(static_cast<int>(
-                                            info.param * 100));
+                         [](const auto& p) {
+                           return param_name("P", static_cast<int>(p.param * 100));
                          });
 
 // --- sweep over detecting IDs -------------------------------------------
@@ -85,9 +97,7 @@ TEST_P(DetectingIdSweep, DetectionRateWithinTheoryBand) {
 
 INSTANTIATE_TEST_SUITE_P(DetectingIds, DetectingIdSweep,
                          ::testing::Values(1, 2, 4, 8, 16),
-                         [](const auto& info) {
-                           return "m" + std::to_string(info.param);
-                         });
+                         [](const auto& p) { return param_name("m", p.param); });
 
 // --- sweep over revocation thresholds ------------------------------------
 
@@ -121,9 +131,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ThresholdCase{2, 2}, ThresholdCase{5, 2},
                       ThresholdCase{10, 2}, ThresholdCase{10, 3},
                       ThresholdCase{10, 4}, ThresholdCase{20, 4}),
-    [](const auto& info) {
-      return "tau1_" + std::to_string(info.param.tau1) + "_tau2_" +
-             std::to_string(info.param.tau2);
+    [](const auto& p) {
+      std::string name = param_name("tau1_", p.param.tau1);
+      name += param_name("_tau2_", p.param.tau2);
+      return name;
     });
 
 // --- sweep over radio loss ------------------------------------------------
@@ -138,16 +149,20 @@ TEST_P(LossSweep, SystemSurvivesLossyRadios) {
   SecureLocalizationSystem system(c);
   const auto s = system.run();
   check_trial_invariants(s);
-  if (GetParam() > 0.0) EXPECT_GT(s.channel.losses, 0u);
+  if (GetParam() > 0.0) {
+    EXPECT_GT(s.channel.losses, 0u);
+  }
   // Even at 40% loss some sensors still gather three references.
-  if (GetParam() <= 0.4) EXPECT_GT(s.sensors_localized, 0u);
+  if (GetParam() <= 0.4) {
+    EXPECT_GT(s.sensors_localized, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(LossRates, LossSweep,
                          ::testing::Values(0.0, 0.1, 0.25, 0.4),
-                         [](const auto& info) {
-                           return "loss" + std::to_string(static_cast<int>(
-                                               info.param * 100));
+                         [](const auto& p) {
+                           return param_name(
+                               "loss", static_cast<int>(p.param * 100));
                          });
 
 // --- sweep over wormhole pressure ----------------------------------------
@@ -173,9 +188,7 @@ TEST_P(WormholeSweep, FalseAlertsScaleWithTunnels) {
 
 INSTANTIATE_TEST_SUITE_P(Wormholes, WormholeSweep,
                          ::testing::Values(0, 1, 3, 6),
-                         [](const auto& info) {
-                           return "Nw" + std::to_string(info.param);
-                         });
+                         [](const auto& p) { return param_name("Nw", p.param); });
 
 // --- lifecycle detection parity -------------------------------------------
 
@@ -212,9 +225,8 @@ TEST_P(LifecycleParitySweep, DetectionWithinTwoPercentOfPermanent) {
 
 INSTANTIATE_TEST_SUITE_P(ParityLevels, LifecycleParitySweep,
                          ::testing::Values(0.2, 0.4, 0.8),
-                         [](const auto& info) {
-                           return "P" + std::to_string(static_cast<int>(
-                                            info.param * 100));
+                         [](const auto& p) {
+                           return param_name("P", static_cast<int>(p.param * 100));
                          });
 
 }  // namespace

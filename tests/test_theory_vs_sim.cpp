@@ -4,11 +4,22 @@
 // but directional properties are strict.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "analysis/formulas.hpp"
 #include "core/experiment.hpp"
 
 namespace sld::core {
 namespace {
+
+/// gtest parameter name "<prefix><value>", built by appending: GCC 12
+/// reports a false -Wrestrict on `const char* + std::string&&`.
+template <typename T>
+std::string param_name(const char* prefix, T value) {
+  std::string name = prefix;
+  name += std::to_string(value);
+  return name;
+}
 
 SystemConfig paper_config(double P, std::uint64_t seed) {
   SystemConfig c;
@@ -52,9 +63,8 @@ TEST_P(TheoryVsSim, AffectedNodesTrackAnalysis) {
 
 INSTANTIATE_TEST_SUITE_P(AttackEffectivenessSweep, TheoryVsSim,
                          ::testing::Values(0.1, 0.3, 0.5, 0.8),
-                         [](const auto& info) {
-                           return "P" + std::to_string(static_cast<int>(
-                                            info.param * 100));
+                         [](const auto& p) {
+                           return param_name("P", static_cast<int>(p.param * 100));
                          });
 
 TEST(TheoryVsSim, HigherPMeansMoreRevocations) {

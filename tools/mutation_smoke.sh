@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Mutation smoke test: applies ~10 curated single-line mutants to the
+# Mutation smoke test: applies 13 curated single-line mutants to the
 # detection/revocation/sim sources and verifies the test suite kills every
 # one (at least one registered test fails per mutant). A mutant that
-# survives means a guard has no test teeth — the script fails loudly.
+# survives means a guard has no test teeth — the script fails loudly. It
+# edits the sources of the checkout it runs from (restoring each file
+# afterwards), so run it from a scratch copy.
 #
 # Uses a dedicated build tree (build-mutation, RelWithDebInfo with runtime
 # invariants ON) and rebuilds only the test targets each mutant needs, so a
@@ -53,9 +55,21 @@ add_mutant "bs-quota-off-by-one" \
 
 add_mutant "consistency-flip-comparison" \
   "src/detection/beacon_check.cpp" \
-  "r.malicious = r.deviation_ft > max_error_ft_;" \
-  "r.malicious = r.deviation_ft < max_error_ft_;" \
+  "r.malicious = !finite_inputs || r.deviation_ft > max_error_ft_;" \
+  "r.malicious = !finite_inputs || r.deviation_ft < max_error_ft_;" \
   "test_properties_detection"
+
+add_mutant "consistency-pass-nan" \
+  "src/detection/beacon_check.cpp" \
+  "r.malicious = !finite_inputs || r.deviation_ft > max_error_ft_;" \
+  "r.malicious = r.deviation_ft > max_error_ft_;" \
+  "test_properties_detection"
+
+add_mutant "neighbor-grid-narrow-block" \
+  "src/sim/network.cpp" \
+  "gx <= std::min(cx + 1, nx - 1); ++gx) {" \
+  "gx <= std::min(cx, nx - 1); ++gx) {" \
+  "test_network"
 
 add_mutant "replay-flip-comparison" \
   "src/detection/replay_filter.cpp" \

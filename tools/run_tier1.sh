@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build Release and Sanitize (ASan+UBSan) configurations, run
-# the full gtest suite on each, then run one traced smoke trial and
-# schema-validate the emitted JSONL trace. Exits nonzero on the first
-# failure.
+# Tier-1 gate: build Release (warnings as errors) and Sanitize (ASan+UBSan)
+# configurations, run the full gtest suite on each, then run one traced
+# smoke trial and schema-validate the emitted JSONL trace. Exits nonzero on
+# the first failure.
 #
 # Usage: tools/run_tier1.sh [jobs]
 #
@@ -29,8 +29,9 @@ if command -v ccache > /dev/null 2>&1; then
   launcher_args=(-DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
 fi
 
-run_config() {
+run_config() {  # name build_type [extra cmake args...]
   local name="$1" build_type="$2" dir="$repo/build-$1"
+  shift 2
   local junit_args=()
   if [[ -n "${SLD_JUNIT_DIR:-}" ]]; then
     mkdir -p "$SLD_JUNIT_DIR"
@@ -38,7 +39,7 @@ run_config() {
   fi
   echo "=== [$name] configure ($build_type) ==="
   cmake -S "$repo" -B "$dir" -DCMAKE_BUILD_TYPE="$build_type" \
-    -DSLD_BUILD_BENCH=ON -DSLD_BUILD_EXAMPLES=OFF "${launcher_args[@]}"
+    -DSLD_BUILD_BENCH=ON -DSLD_BUILD_EXAMPLES=OFF "$@" "${launcher_args[@]}"
   echo "=== [$name] build ==="
   cmake --build "$dir" -j "$jobs"
   echo "=== [$name] ctest ==="
@@ -49,7 +50,7 @@ run_config() {
   python3 "$repo/tools/trace_report.py" --validate "$dir/smoke_trace.jsonl"
 }
 
-run_config release Release
+run_config release Release -DSLD_WARNINGS_AS_ERRORS=ON
 run_config sanitize Sanitize
 
 if [[ "${SLD_CHAOS:-0}" == "1" ]]; then
