@@ -87,9 +87,10 @@ int main(int argc, char** argv) {
         }
 
         // --- event-queue churn (the explicit binary heap) ----------------
-        // Also the micro-scale memstats subject: push allocates under the
-        // "scheduler" scope, so the per-thread delta around the loop is
-        // exactly this workload's allocation bill.
+        // Also the micro-scale memstats subject: push allocates (key-heap
+        // growth and slot chunks) under the "scheduler" scope, so the
+        // per-thread delta around the loop is exactly this workload's
+        // allocation bill.
         {
           sld::obs::MemScopeStats before;
           if (args.memstats) {

@@ -13,6 +13,15 @@
 #include "crypto/tesla.hpp"
 #include "sim/message.hpp"
 
+namespace {
+/// A revocation notice as a broadcast body (TESLA packets own their bytes).
+sld::util::Bytes revocation_bytes(sld::sim::NodeId beacon) {
+  const sld::sim::Payload wire =
+      sld::sim::RevocationPayload{beacon}.serialize();
+  return sld::util::Bytes(wire.begin(), wire.end());
+}
+}  // namespace
+
 int main() {
   using namespace sld;
   using crypto::TeslaBroadcaster;
@@ -38,8 +47,8 @@ int main() {
   const sim::NodeId revoked[] = {7, 23};
   sim::SimTime now = 200 * sim::kMillisecond;
   for (const auto beacon : revoked) {
-    sim::RevocationPayload payload{beacon};
-    const auto packet = base_station.authenticate(payload.serialize(), now);
+    const auto packet =
+        base_station.authenticate(revocation_bytes(beacon), now);
     const bool buffered =
         sensor.on_packet(packet, now + 20 * sim::kMillisecond);
     std::printf("broadcast: revoke beacon %-3u  interval %zu  -> %s\n",
@@ -53,8 +62,7 @@ int main() {
     crypto::Key128 bogus{};
     bogus.fill(0x66);
     TeslaBroadcaster attacker(cfg, bogus);  // different (unknown) chain
-    sim::RevocationPayload payload{55};
-    const auto forged = attacker.authenticate(payload.serialize(), now);
+    const auto forged = attacker.authenticate(revocation_bytes(55), now);
     sensor.on_packet(forged, now + 20 * sim::kMillisecond);
     const auto disclosure = attacker.disclosure_at(3 * cfg.interval);
     const bool key_ok =
@@ -75,9 +83,8 @@ int main() {
 
   // A captured packet replayed after its key went public must be dropped.
   {
-    sim::RevocationPayload payload{88};
     const auto old_packet =
-        base_station.authenticate(payload.serialize(),
+        base_station.authenticate(revocation_bytes(88),
                                   200 * sim::kMillisecond);
     const bool accepted =
         sensor.on_packet(old_packet, 5 * sim::kSecond);  // way too late

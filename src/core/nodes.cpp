@@ -35,12 +35,12 @@ double median_of(std::vector<double>& samples) {
 /// Builds the authenticated wire message for a payload.
 sim::Message make_message(const crypto::PairwiseKeyManager& keys,
                           sim::NodeId src, sim::NodeId dst, sim::MsgType type,
-                          util::Bytes payload) {
+                          const sim::Payload& payload) {
   sim::Message msg;
   msg.src = src;
   msg.dst = dst;
   msg.type = type;
-  msg.payload = std::move(payload);
+  msg.payload = payload;
   msg.mac = crypto::compute_mac(keys.pairwise_key(src, dst), src, dst,
                                 msg.payload);
   return msg;
@@ -707,15 +707,18 @@ void SensorNode::on_message(const sim::Delivery& delivery) {
   pending_.erase(it);
   if (delivery.msg.src != target) return;
   // A compromised beacon holds valid keys, so a correctly MACed reply can
-  // claim a non-finite position. It must never become a location reference.
+  // claim a non-finite position, or manipulate its signal by an infinite
+  // range (ranging then measures an infinite distance). Neither may become
+  // a location reference or reach the residual histogram.
   if (!std::isfinite(reply.claimed_position.x) ||
       !std::isfinite(reply.claimed_position.y))
     return;
-  ++ctx_.metrics.sensor_replies;
-
   const auto m = ctx_.measure(
       delivery, reply, position(), rng_,
       channel().faults().rtt_skew_cycles(id(), delivery.msg.src));
+  if (!std::isfinite(m.distance_ft)) return;
+  ++ctx_.metrics.sensor_replies;
+
   ctx_.rtt_query_hist->observe(m.rtt_cycles);
   ctx_.residual_hist->observe(m.distance_ft - m.physical_distance_ft);
   if (ctx_.tracer.on()) {

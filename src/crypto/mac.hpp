@@ -15,9 +15,11 @@ namespace sld::crypto {
 /// 64-bit authentication tag.
 using MacTag = std::uint64_t;
 
-/// Computes the tag of `payload` bound to (src, dst) under `key`. Binding
-/// the addresses prevents an attacker from splicing a valid payload onto a
-/// different sender/receiver pair.
+/// Computes the tag of `payload` bound to (src, dst) under `key`: the
+/// SipHash-2-4 of the 12-byte little-endian header (src, dst,
+/// payload length) followed by the payload. Binding the addresses prevents
+/// an attacker from splicing a valid payload onto a different
+/// sender/receiver pair.
 MacTag compute_mac(const Key128& key, std::uint32_t src, std::uint32_t dst,
                    std::span<const std::uint8_t> payload);
 

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -14,7 +15,23 @@ namespace sld::crypto {
 /// 128-bit SipHash key.
 using Key128 = std::array<std::uint8_t, 16>;
 
-/// SipHash-2-4 of `data` under `key`.
+/// Incremental SipHash-2-4: feed byte spans with update(), then call
+/// finish() once. The result equals siphash24 over the spans'
+/// concatenation, wherever the split points fall.
+class SipHasher {
+ public:
+  explicit SipHasher(const Key128& key);
+
+  void update(std::span<const std::uint8_t> data);
+  std::uint64_t finish();
+
+ private:
+  std::array<std::uint64_t, 4> v_;
+  std::uint64_t tail_ = 0;  // pending bytes of the current 8-byte block
+  std::size_t len_ = 0;     // total bytes fed
+};
+
+/// SipHash-2-4 of `data` under `key` (one SipHasher update).
 std::uint64_t siphash24(const Key128& key, std::span<const std::uint8_t> data);
 
 /// Convenience: SipHash-2-4 of a 64-bit value (little-endian encoded).

@@ -100,6 +100,10 @@ std::optional<LocalizationResult> MultilaterationSolver::solve(
     }
   }
 
+  // A non-finite reference (an infinite measured distance) poisons the
+  // normal equations; that is no fix, not a fix at (nan, nan).
+  if (!std::isfinite(p.x) || !std::isfinite(p.y)) return std::nullopt;
+
   LocalizationResult result;
   result.position = p;
   result.iterations = iterations;

@@ -36,7 +36,8 @@ class MultilaterationSolver {
 
   /// Estimates a position from >= 3 references. Returns nullopt when the
   /// problem is under-constrained (fewer than 3 references, or a degenerate
-  /// collinear geometry the normal equations cannot invert).
+  /// collinear geometry the normal equations cannot invert) or when the
+  /// estimate is not finite (a non-finite reference).
   std::optional<LocalizationResult> solve(
       const LocationReferences& references) const;
 

@@ -366,13 +366,19 @@ void Channel::schedule_delivery(Node& dst, const TxContext& ctx,
   auto& radio = radio_[dst.id()];
   ++radio.packets_received;
   radio.bytes_received += msg.payload.size() + config_.frame_overhead_bytes;
-  Node* dst_ptr = &dst;
-  TxContext ctx_copy = ctx;
-  Message msg_copy = msg;
-  scheduler_.schedule_after(delay, [this, dst_ptr, ctx_copy, msg_copy]() {
-    Delivery d{msg_copy, ctx_copy, scheduler_.now()};
-    dst_ptr->on_message(d);
-  });
+  const std::uint32_t slot = in_flight_.acquire();
+  InFlight& f = in_flight_[slot];
+  f.dst = &dst;
+  f.delivery.msg = msg;
+  f.delivery.ctx = ctx;
+  scheduler_.schedule_after(delay, [this, slot]() { complete_delivery(slot); });
+}
+
+void Channel::complete_delivery(std::uint32_t slot) {
+  InFlight& f = in_flight_[slot];
+  f.delivery.rx_time = scheduler_.now();
+  f.dst->on_message(f.delivery);
+  in_flight_.release(slot);
 }
 
 }  // namespace sld::sim

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -21,6 +20,7 @@
 #include "sim/message.hpp"
 #include "sim/node.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/slot_pool.hpp"
 #include "util/rng.hpp"
 
 namespace sld::sim {
@@ -192,6 +192,9 @@ class Channel {
   void deliver(Node& dst, const TxContext& ctx, const Message& msg);
   void schedule_delivery(Node& dst, const TxContext& ctx, const Message& msg,
                          SimTime delay);
+  /// Hands the in-flight delivery in `slot` to its receiver, then frees
+  /// the slot.
+  void complete_delivery(std::uint32_t slot);
   /// Asserts the ChannelStats conservation law (no-op in Release builds).
   void check_conservation() const;
 
@@ -204,6 +207,15 @@ class Channel {
   std::vector<RadioObserver*> observers_;
   ChannelStats stats_;
   std::unordered_map<NodeId, NodeRadioStats> radio_;
+  /// A scheduled delivery waiting for its arrival time.
+  struct InFlight {
+    Node* dst = nullptr;
+    Delivery delivery;
+  };
+  /// Scheduled deliveries. The scheduler holds only a [this, slot]
+  /// closure; the receiver reads the Delivery where it lies, so a handler
+  /// that sends (acquiring slots) never disturbs the copy it is reading.
+  SlotPool<InFlight> in_flight_;
   obs::Tracer trace_;
   HotStats* hot_ = nullptr;
 };

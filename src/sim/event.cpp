@@ -7,23 +7,24 @@
 
 namespace sld::sim {
 
-void EventQueue::push(SimTime when, SimTime queued_at,
-                      std::function<void()> action) {
+void EventQueue::push(SimTime when, SimTime queued_at, Action action) {
   SLD_MEM_SCOPE("scheduler");
-  heap_.push_back(Event{when, next_seq_++, queued_at, std::move(action)});
+  const std::uint32_t slot = slots_.acquire();
+  slots_[slot] = Slot{std::move(action), queued_at};
+  heap_.push_back(Key{when, next_seq_++, slot});
   // Sift up: hole-based (move the parent down until the slot is found),
   // one element move per level crossed.
   std::size_t i = heap_.size() - 1;
-  Event ev = std::move(heap_[i]);
+  const Key ev = heap_[i];
   std::uint64_t steps = 0;
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
     if (!later(heap_[parent], ev)) break;
-    heap_[i] = std::move(heap_[parent]);
+    heap_[i] = heap_[parent];
     i = parent;
     ++steps;
   }
-  heap_[i] = std::move(ev);
+  heap_[i] = ev;
   sift_up_steps_ += steps;
   if (hot_ != nullptr) {
     if (hot_->sift_up != nullptr)
@@ -41,11 +42,11 @@ SimTime EventQueue::next_time() const {
 
 Event EventQueue::pop() {
   if (heap_.empty()) throw std::logic_error("EventQueue::pop: empty");
-  Event top = std::move(heap_.front());
+  const Key top = heap_.front();
   std::uint64_t steps = 0;
   if (heap_.size() > 1) {
     // Sift the last element down from the root.
-    Event ev = std::move(heap_.back());
+    const Key ev = heap_.back();
     heap_.pop_back();
     std::size_t i = 0;
     const std::size_t n = heap_.size();
@@ -56,14 +57,17 @@ Event EventQueue::pop() {
       std::size_t smallest = left;
       if (right < n && later(heap_[left], heap_[right])) smallest = right;
       if (!later(ev, heap_[smallest])) break;
-      heap_[i] = std::move(heap_[smallest]);
+      heap_[i] = heap_[smallest];
       i = smallest;
       ++steps;
     }
-    heap_[i] = std::move(ev);
+    heap_[i] = ev;
   } else {
     heap_.pop_back();
   }
+  Slot& slot = slots_[top.slot];
+  Event out{top.when, top.seq, slot.queued_at, std::move(slot.action)};
+  slots_.release(top.slot);
   sift_down_steps_ += steps;
   if (hot_ != nullptr) {
     if (hot_->sift_down != nullptr)
@@ -71,13 +75,14 @@ Event EventQueue::pop() {
     if (hot_->sift_down_steps != nullptr) hot_->sift_down_steps->inc(steps);
     if (hot_->event_wait_ns != nullptr)
       hot_->event_wait_ns->observe(
-          static_cast<double>(top.when - top.queued_at));
+          static_cast<double>(out.when - out.queued_at));
   }
-  return top;
+  return out;
 }
 
 void EventQueue::clear() {
   heap_.clear();
+  slots_.clear();
   next_seq_ = 0;
   sift_up_steps_ = 0;
   sift_down_steps_ = 0;

@@ -4,23 +4,24 @@
 
 namespace sld::sim {
 
-util::Bytes BeaconRequestPayload::serialize() const {
+Payload BeaconRequestPayload::serialize() const {
   SLD_MEM_SCOPE("messages");
-  util::ByteWriter w;
+  util::BasicByteWriter<Payload> w;
   w.u64(nonce);
   return w.take();
 }
 
-BeaconRequestPayload BeaconRequestPayload::parse(const util::Bytes& bytes) {
+BeaconRequestPayload BeaconRequestPayload::parse(
+    std::span<const std::uint8_t> bytes) {
   util::ByteReader r(bytes);
   BeaconRequestPayload p;
   p.nonce = r.u64();
   return p;
 }
 
-util::Bytes BeaconReplyPayload::serialize() const {
+Payload BeaconReplyPayload::serialize() const {
   SLD_MEM_SCOPE("messages");
-  util::ByteWriter w;
+  util::BasicByteWriter<Payload> w;
   w.u64(nonce);
   w.f64(claimed_position.x);
   w.f64(claimed_position.y);
@@ -30,7 +31,8 @@ util::Bytes BeaconReplyPayload::serialize() const {
   return w.take();
 }
 
-BeaconReplyPayload BeaconReplyPayload::parse(const util::Bytes& bytes) {
+BeaconReplyPayload BeaconReplyPayload::parse(
+    std::span<const std::uint8_t> bytes) {
   util::ByteReader r(bytes);
   BeaconReplyPayload p;
   p.nonce = r.u64();
@@ -42,15 +44,16 @@ BeaconReplyPayload BeaconReplyPayload::parse(const util::Bytes& bytes) {
   return p;
 }
 
-util::Bytes AlertPayload::serialize() const {
+Payload AlertPayload::serialize() const {
   SLD_MEM_SCOPE("messages");
-  util::ByteWriter w;
+  util::BasicByteWriter<Payload> w;
   w.u32(reporter);
   w.u32(target);
   return w.take();
 }
 
-AlertPayload AlertPayload::parse(const util::Bytes& bytes) {
+AlertPayload AlertPayload::parse(
+    std::span<const std::uint8_t> bytes) {
   util::ByteReader r(bytes);
   AlertPayload p;
   p.reporter = r.u32();
@@ -58,14 +61,15 @@ AlertPayload AlertPayload::parse(const util::Bytes& bytes) {
   return p;
 }
 
-util::Bytes RevocationPayload::serialize() const {
+Payload RevocationPayload::serialize() const {
   SLD_MEM_SCOPE("messages");
-  util::ByteWriter w;
+  util::BasicByteWriter<Payload> w;
   w.u32(revoked);
   return w.take();
 }
 
-RevocationPayload RevocationPayload::parse(const util::Bytes& bytes) {
+RevocationPayload RevocationPayload::parse(
+    std::span<const std::uint8_t> bytes) {
   util::ByteReader r(bytes);
   RevocationPayload p;
   p.revoked = r.u32();

@@ -8,7 +8,9 @@
 // attackers lie at the packet layer while the physics stays honest.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "crypto/mac.hpp"
 #include "sim/time.hpp"
@@ -28,12 +30,21 @@ enum class MsgType : std::uint16_t {
   kAppData = 5,        // application traffic (examples)
 };
 
+/// Capacity of a wire payload. The largest protocol payload,
+/// BeaconReplyPayload, is 41 bytes; the payload lives inside the Message,
+/// so copying or queueing a message never allocates.
+inline constexpr std::size_t kMaxPayloadBytes = 48;
+
+/// Payload bytes, inline. Writing past kMaxPayloadBytes throws
+/// util::BufferOverflow.
+using Payload = util::InlineBytes<kMaxPayloadBytes>;
+
 /// An authenticated unicast packet.
 struct Message {
   NodeId src = 0;  // claimed sender id
   NodeId dst = 0;
   MsgType type = MsgType::kAppData;
-  util::Bytes payload;
+  Payload payload;
   crypto::MacTag mac = 0;
 };
 
@@ -75,8 +86,8 @@ struct Delivery {
 struct BeaconRequestPayload {
   std::uint64_t nonce = 0;
 
-  util::Bytes serialize() const;
-  static BeaconRequestPayload parse(const util::Bytes& bytes);
+  Payload serialize() const;
+  static BeaconRequestPayload parse(std::span<const std::uint8_t> bytes);
 };
 
 /// Beacon signal contents: the claimed location plus the receiver-side
@@ -95,8 +106,11 @@ struct BeaconReplyPayload {
   /// "convince them it came through a wormhole" strategy). Honest: false.
   bool fake_wormhole_indication = false;
 
-  util::Bytes serialize() const;
-  static BeaconReplyPayload parse(const util::Bytes& bytes);
+  /// Encoded size: nonce, four doubles and the indication byte.
+  static constexpr std::size_t kWireBytes = 8 + 4 * 8 + 1;
+
+  Payload serialize() const;
+  static BeaconReplyPayload parse(std::span<const std::uint8_t> bytes);
 };
 
 /// Alert from a detecting node to the base station (paper §3.1: "every
@@ -107,16 +121,19 @@ struct AlertPayload {
   NodeId reporter = 0;
   NodeId target = 0;
 
-  util::Bytes serialize() const;
-  static AlertPayload parse(const util::Bytes& bytes);
+  Payload serialize() const;
+  static AlertPayload parse(std::span<const std::uint8_t> bytes);
 };
 
 /// Base-station revocation notice.
 struct RevocationPayload {
   NodeId revoked = 0;
 
-  util::Bytes serialize() const;
-  static RevocationPayload parse(const util::Bytes& bytes);
+  Payload serialize() const;
+  static RevocationPayload parse(std::span<const std::uint8_t> bytes);
 };
+
+static_assert(BeaconReplyPayload::kWireBytes <= kMaxPayloadBytes,
+              "the largest payload must fit a Message inline");
 
 }  // namespace sld::sim

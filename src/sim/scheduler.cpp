@@ -7,14 +7,14 @@
 
 namespace sld::sim {
 
-void Scheduler::schedule_at(SimTime when, std::function<void()> action) {
+void Scheduler::schedule_at(SimTime when, Action action) {
   if (when < now_)
     throw std::invalid_argument("Scheduler::schedule_at: time in the past");
   queue_.push(when, now_, std::move(action));
   note_depth();
 }
 
-void Scheduler::schedule_after(SimTime delay, std::function<void()> action) {
+void Scheduler::schedule_after(SimTime delay, Action action) {
   if (delay < 0)
     throw std::invalid_argument("Scheduler::schedule_after: negative delay");
   queue_.push(now_ + delay, now_, std::move(action));

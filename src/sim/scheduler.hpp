@@ -28,11 +28,12 @@ class Scheduler {
     probe_on_ = static_cast<bool>(probe_);
   }
 
-  /// Schedules `action` at absolute time `when` (>= now).
-  void schedule_at(SimTime when, std::function<void()> action);
+  /// Schedules `action` at absolute time `when` (>= now). Closures of up
+  /// to Action::kInlineBytes are stored without allocating.
+  void schedule_at(SimTime when, Action action);
 
   /// Schedules `action` `delay` nanoseconds from now (delay >= 0).
-  void schedule_after(SimTime delay, std::function<void()> action);
+  void schedule_after(SimTime delay, Action action);
 
   /// Runs until the queue is empty or `max_events` have executed.
   /// Returns the number of events executed.

@@ -5,32 +5,6 @@
 
 namespace sld::util {
 
-void ByteWriter::u16(std::uint16_t v) {
-  u8(static_cast<std::uint8_t>(v));
-  u8(static_cast<std::uint8_t>(v >> 8));
-}
-
-void ByteWriter::u32(std::uint32_t v) {
-  u16(static_cast<std::uint16_t>(v));
-  u16(static_cast<std::uint16_t>(v >> 16));
-}
-
-void ByteWriter::u64(std::uint64_t v) {
-  u32(static_cast<std::uint32_t>(v));
-  u32(static_cast<std::uint32_t>(v >> 32));
-}
-
-void ByteWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-void ByteWriter::bytes(std::span<const std::uint8_t> data) {
-  out_.insert(out_.end(), data.begin(), data.end());
-}
-
-void ByteWriter::sized_bytes(std::span<const std::uint8_t> data) {
-  u32(static_cast<std::uint32_t>(data.size()));
-  bytes(data);
-}
-
 std::uint8_t ByteReader::u8() {
   require(1);
   return data_[pos_++];

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/network.hpp"
@@ -258,6 +259,67 @@ TEST_F(ChannelTest, DuplicateNodeIdRejected) {
   net.emplace_node<RecorderNode>(1, util::Vec2{0, 0}, 150.0);
   EXPECT_THROW(net.emplace_node<RecorderNode>(1, util::Vec2{1, 1}, 150.0),
                std::invalid_argument);
+}
+
+/// Answers every delivery with a reply carrying the received payload,
+/// sent from inside on_message — the in-flight slot it is reading stays
+/// in use while the reply acquires another.
+class EchoNode final : public Node {
+ public:
+  using Node::Node;
+  void on_message(const Delivery& d) override {
+    received.push_back(d.msg.payload);
+    Message reply = d.msg;
+    reply.src = id();
+    reply.dst = d.msg.src;
+    channel().unicast(*this, reply);
+    // The delivery this handler reads must be intact after the send.
+    intact_after_send = intact_after_send && d.msg.payload == received.back();
+  }
+  std::vector<Payload> received;
+  bool intact_after_send = true;
+};
+
+/// Packet `i`'s payload: 2 to 48 bytes, the first two naming `i`.
+Payload stamped(int i) {
+  const auto n = static_cast<std::size_t>(2 + i % 47);
+  Payload p;
+  p.push_back(static_cast<std::uint8_t>(i & 0xff));
+  p.push_back(static_cast<std::uint8_t>(i >> 8));
+  for (std::size_t k = 2; k < n; ++k)
+    p.push_back(static_cast<std::uint8_t>(i * 31 + static_cast<int>(k)));
+  return p;
+}
+
+/// True when `payloads` is exactly stamped(0) .. stamped(n - 1), each once,
+/// in any order (lengths differ, so arrival order is not send order).
+bool each_stamp_once(const std::vector<Payload>& payloads, int n) {
+  std::vector<int> seen(static_cast<std::size_t>(n), 0);
+  for (const Payload& p : payloads) {
+    if (p.size() < 2) return false;
+    const int i = p[0] | (p[1] << 8);
+    if (i >= n || !(p == stamped(i))) return false;
+    ++seen[static_cast<std::size_t>(i)];
+  }
+  return std::all_of(seen.begin(), seen.end(), [](int c) { return c == 1; });
+}
+
+TEST_F(ChannelTest, HandlerSendingWhileDeliveriesArePendingSeesIntactPayloads) {
+  auto& a = net.emplace_node<RecorderNode>(1, util::Vec2{0, 0}, 150.0);
+  auto& echo = net.emplace_node<EchoNode>(2, util::Vec2{60, 0}, 150.0);
+  // Enough packets in flight at once to span several pool chunks.
+  const int kPackets = 1500;
+  for (int i = 0; i < kPackets; ++i) {
+    Message m = make_msg(1, 2);
+    m.payload = stamped(i);
+    net.channel().unicast(a, m);
+  }
+  net.run();
+  EXPECT_TRUE(echo.intact_after_send);
+  EXPECT_TRUE(each_stamp_once(echo.received, kPackets));
+  std::vector<Payload> echoed;
+  for (const auto& d : a.deliveries) echoed.push_back(d.msg.payload);
+  EXPECT_TRUE(each_stamp_once(echoed, kPackets));
 }
 
 }  // namespace

@@ -166,6 +166,72 @@ TEST(FaultPlan, CorruptionIsRejectedByMac) {
   EXPECT_FALSE(crypto::verify_mac(key, rx.src, rx.dst, rx.payload, rx.mac));
 }
 
+/// Verifies the MAC of every delivery and answers each with a freshly
+/// MACed copy sent from inside on_message, while other deliveries (some
+/// corrupted, some duplicated) are still in flight.
+class VerifyingEchoNode final : public Node {
+ public:
+  VerifyingEchoNode(NodeId id, util::Vec2 pos, double range,
+                    crypto::Key128 key)
+      : Node(id, pos, range), key_(key) {}
+  void on_message(const Delivery& d) override {
+    const bool ok = crypto::verify_mac(key_, d.msg.src, d.msg.dst,
+                                       d.msg.payload, d.msg.mac);
+    ++(ok ? verified : rejected);
+    if (!ok || d.msg.type != MsgType::kAppData) return;
+    Message reply = d.msg;
+    reply.type = MsgType::kBeaconReply;
+    reply.src = id();
+    reply.dst = d.msg.src;
+    reply.mac = crypto::compute_mac(key_, reply.src, reply.dst, reply.payload);
+    channel().unicast(*this, reply);
+    intact_after_send = intact_after_send &&
+                        crypto::verify_mac(key_, d.msg.src, d.msg.dst,
+                                           d.msg.payload, d.msg.mac);
+  }
+  std::uint64_t verified = 0;
+  std::uint64_t rejected = 0;
+  bool intact_after_send = true;
+
+ private:
+  crypto::Key128 key_;
+};
+
+TEST(FaultPlan, CorruptedAndDuplicatedCopiesKeepConservationAndMacVerdicts) {
+  FaultPlan plan;
+  plan.loss_probability = 0.1;
+  plan.duplicate_probability = 0.3;
+  plan.corruption_probability = 0.3;
+  plan.max_extra_delay_ns = 5 * kMillisecond;
+  Network net{with_faults(plan), 29};
+  const crypto::Key128 key{0x42, 0x17};
+  auto& a =
+      net.emplace_node<VerifyingEchoNode>(1, util::Vec2{0, 0}, 150.0, key);
+  auto& b =
+      net.emplace_node<VerifyingEchoNode>(2, util::Vec2{50, 0}, 150.0, key);
+  const int kPackets = 2000;
+  for (int i = 0; i < kPackets; ++i) {
+    Message m = make_msg(1, 2);
+    m.payload.push_back(static_cast<std::uint8_t>(i));
+    m.payload.push_back(static_cast<std::uint8_t>(i >> 8));
+    m.mac = crypto::compute_mac(key, m.src, m.dst, m.payload);
+    net.channel().unicast(a, m);
+  }
+  net.run();
+  const auto& s = net.channel().stats();
+  EXPECT_GT(s.corrupted, 0u);
+  EXPECT_GT(s.duplicates, 0u);
+  EXPECT_GT(s.dropped_by_fault, 0u);
+  EXPECT_EQ(s.deliveries + s.losses + s.dropped_by_fault + s.crashed_rx_drops +
+                s.partition_drops,
+            s.delivery_attempts + s.duplicates);
+  // Every corrupted copy, and only those, fails authentication; a
+  // duplicate is a clean copy of the original.
+  EXPECT_EQ(a.rejected + b.rejected, s.corrupted);
+  EXPECT_EQ(a.verified + b.verified, s.deliveries - s.corrupted);
+  EXPECT_TRUE(b.intact_after_send);
+}
+
 TEST(FaultPlan, CrashWindowSilencesNodeBothWays) {
   FaultPlan plan;
   plan.crashes.push_back(CrashWindow{2, 0, kSecond});

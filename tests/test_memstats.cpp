@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -181,6 +182,48 @@ TEST(Memstats, MemstatsOnTrialIsBitForBitIdenticalToOff) {
   EXPECT_GT(on.memhot.scans, 0u);
   EXPECT_GT(on.memhot.max_queue_depth, 0u);
   EXPECT_GT(on.memhot.sift_down_steps, 0u);
+}
+
+// --- the allocation-free message path --------------------------------------
+
+TEST(Memstats, PaperScaleTrialMessagePathIsAllocationFree) {
+  // A paper-scale trial (the §4 defaults: 1,000 nodes, 100 beacons, one
+  // wormhole): building, MACing, queueing and delivering ~22k messages
+  // allocates nothing per message. Payloads are inline, the MAC streams,
+  // and the scheduler and channel only grow their pools (plus the
+  // channel's per-node radio table), which stays far below one
+  // allocation in twenty events.
+  core::SystemConfig c;
+  c.rtt_calibration_samples = 1000;
+  c.seed = 3;
+  c.memstats = true;
+  const auto totals = [] {
+    return std::array<MemScopeStats, 3>{
+        Memstats::thread_totals_for("messages"),
+        Memstats::thread_totals_for("channel"),
+        Memstats::thread_totals_for("scheduler")};
+  };
+  const auto b = totals();
+  core::TrialSummary summary;
+  {
+    core::SecureLocalizationSystem sys(c);
+    summary = sys.run();
+  }
+  const auto a = totals();
+  Memstats::set_enabled(false);
+
+  ASSERT_GT(summary.sched_events, 20'000u);
+  ASSERT_GT(summary.channel.deliveries, 10'000u);
+  EXPECT_EQ(a[0].allocs - b[0].allocs, 0u) << "messages scope allocated";
+  const std::uint64_t pool_allocs =
+      (a[1].allocs - b[1].allocs) + (a[2].allocs - b[2].allocs);
+  EXPECT_GT(pool_allocs, 0u);  // the scopes are live: pools did grow
+  EXPECT_LT(static_cast<double>(pool_allocs) /
+                static_cast<double>(summary.sched_events),
+            0.05)
+      << "channel " << a[1].allocs - b[1].allocs << " + scheduler "
+      << a[2].allocs - b[2].allocs << " allocations for "
+      << summary.sched_events << " events";
 }
 
 // --- jobs invariance -------------------------------------------------------

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+
 namespace sld::sim {
 namespace {
 
@@ -49,10 +52,50 @@ TEST(RevocationPayload, RoundTrip) {
 
 TEST(Payloads, TruncatedBytesThrow) {
   BeaconReplyPayload p;
-  auto bytes = p.serialize();
-  bytes.pop_back();
-  EXPECT_THROW(BeaconReplyPayload::parse(bytes), util::TruncatedBuffer);
+  const Payload bytes = p.serialize();
+  const std::span<const std::uint8_t> shortened =
+      std::span<const std::uint8_t>(bytes).first(bytes.size() - 1);
+  EXPECT_THROW(BeaconReplyPayload::parse(shortened), util::TruncatedBuffer);
   EXPECT_THROW(AlertPayload::parse(util::Bytes{1, 2}), util::TruncatedBuffer);
+}
+
+TEST(Payloads, LargestPayloadFitsInline) {
+  EXPECT_EQ(BeaconReplyPayload{}.serialize().size(),
+            BeaconReplyPayload::kWireBytes);
+  EXPECT_LE(BeaconReplyPayload::kWireBytes, kMaxPayloadBytes);
+  EXPECT_EQ(BeaconRequestPayload{}.serialize().size(), 8u);
+  EXPECT_EQ(AlertPayload{}.serialize().size(), 8u);
+  EXPECT_EQ(RevocationPayload{}.serialize().size(), 4u);
+}
+
+TEST(Payloads, FullCapacityRoundTrips) {
+  util::BasicByteWriter<Payload> w;
+  for (std::uint64_t i = 0; i < kMaxPayloadBytes / 8; ++i)
+    w.u64(0x0101010101010101ULL * (i + 1));
+  const Payload full = w.take();
+  ASSERT_EQ(full.size(), kMaxPayloadBytes);
+  util::ByteReader r(full);
+  for (std::uint64_t i = 0; i < kMaxPayloadBytes / 8; ++i)
+    EXPECT_EQ(r.u64(), 0x0101010101010101ULL * (i + 1));
+  EXPECT_TRUE(r.exhausted());
+
+  // A message carries it intact through a copy.
+  Message m;
+  m.payload = full;
+  const Message copy = m;
+  EXPECT_EQ(copy.payload, full);
+}
+
+TEST(Payloads, WritingPastCapacityThrows) {
+  util::BasicByteWriter<Payload> w;
+  for (std::size_t i = 0; i < kMaxPayloadBytes; ++i)
+    w.u8(static_cast<std::uint8_t>(i));
+  EXPECT_THROW(w.u8(0), util::BufferOverflow);
+  EXPECT_EQ(w.size(), kMaxPayloadBytes);
+  // A wider write that would straddle the end throws too.
+  util::BasicByteWriter<Payload> almost;
+  for (std::size_t i = 0; i + 4 < kMaxPayloadBytes; ++i) almost.u8(0);
+  EXPECT_THROW(almost.u64(1), util::BufferOverflow);
 }
 
 TEST(TxContext, DefaultsAreHonest) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "util/rng.hpp"
 
@@ -103,6 +104,22 @@ TEST(Multilateration, MaliciousReferenceSkewsEstimate) {
   ASSERT_TRUE(attacked.has_value());
   EXPECT_GT(util::distance(attacked->position, truth),
             util::distance(clean->position, truth) + 10.0);
+}
+
+TEST(Multilateration, NonFiniteReferenceGivesNoFix) {
+  // Three good references plus one whose measured distance is infinite
+  // (an insider's infinite range manipulation) or NaN: no fix, never a
+  // "successful" (nan, nan).
+  const util::Vec2 truth{40.0, 70.0};
+  const auto good = exact_refs(truth, {{0, 0}, {100, 0}, {0, 100}});
+  MultilaterationSolver solver;
+  ASSERT_TRUE(solver.solve(good).has_value());
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    auto refs = good;
+    refs.push_back({4, util::Vec2{100, 100}, bad});
+    EXPECT_FALSE(solver.solve(refs).has_value()) << bad;
+  }
 }
 
 TEST(Multilateration, RmsResidualHelper) {

@@ -23,29 +23,36 @@ class ProbeNode final : public sim::Node {
 
 /// A message MACed under the pairwise key of (src, dst).
 sim::Message authed(const crypto::PairwiseKeyManager& keys, sim::NodeId src,
-                    sim::NodeId dst, sim::MsgType type, util::Bytes payload) {
+                    sim::NodeId dst, sim::MsgType type,
+                    const sim::Payload& payload) {
   sim::Message m;
   m.src = src;
   m.dst = dst;
   m.type = type;
-  m.payload = std::move(payload);
+  m.payload = payload;
   m.mac = crypto::compute_mac(keys.pairwise_key(src, dst), src, dst, m.payload);
   return m;
 }
 
 /// A compromised beacon: it holds valid keys and answers every request with
-/// a correctly MACed reply claiming `claim`.
+/// a correctly MACed reply claiming `claim` and manipulating the ranging
+/// signal by `range_manipulation_ft`.
 class InsiderBeacon final : public sim::Node {
  public:
   InsiderBeacon(sim::NodeId id, util::Vec2 position, double range_ft,
-                const crypto::PairwiseKeyManager& keys, util::Vec2 claim)
-      : Node(id, position, range_ft), keys_(keys), claim_(claim) {}
+                const crypto::PairwiseKeyManager& keys, util::Vec2 claim,
+                double range_manipulation_ft = 0.0)
+      : Node(id, position, range_ft),
+        keys_(keys),
+        claim_(claim),
+        range_manipulation_ft_(range_manipulation_ft) {}
   bool is_beacon() const override { return true; }
   void on_message(const sim::Delivery& d) override {
     if (d.msg.type != sim::MsgType::kBeaconRequest) return;
     sim::BeaconReplyPayload reply;
     reply.nonce = sim::BeaconRequestPayload::parse(d.msg.payload).nonce;
     reply.claimed_position = claim_;
+    reply.range_manipulation_ft = range_manipulation_ft_;
     channel().unicast(*this, authed(keys_, id(), d.msg.src,
                                     sim::MsgType::kBeaconReply,
                                     reply.serialize()));
@@ -54,6 +61,7 @@ class InsiderBeacon final : public sim::Node {
  private:
   const crypto::PairwiseKeyManager& keys_;
   util::Vec2 claim_;
+  double range_manipulation_ft_;
 };
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
@@ -72,8 +80,8 @@ class NodeProtocolTest : public ::testing::Test {
   }
 
   sim::Message authed(sim::NodeId src, sim::NodeId dst, sim::MsgType type,
-                      util::Bytes payload) {
-    return core::authed(ctx_.keys, src, dst, type, std::move(payload));
+                      const sim::Payload& payload) {
+    return core::authed(ctx_.keys, src, dst, type, payload);
   }
 
   SystemConfig config_ = make_config();
@@ -295,6 +303,42 @@ TEST_F(NodeProtocolTest, SensorDropsNonFiniteClaims) {
   // Only the four honest replies count; the sensor localizes from them.
   EXPECT_EQ(ctx_.metrics.sensor_requests, 5u);
   EXPECT_EQ(ctx_.metrics.sensor_replies, 4u);
+  ASSERT_TRUE(sensor.result().has_value());
+  EXPECT_LT(util::distance(sensor.result()->position, sensor.position()),
+            10.0);
+}
+
+TEST_F(NodeProtocolTest, SensorDropsInfiniteMeasuredDistance) {
+  // The insider claims its true position but manipulates its signal by
+  // +Inf ft, so the sensor measures an infinite distance. That reply must
+  // not become a reference (or reach the residual histogram): one such
+  // reference would turn the fix into (nan, nan).
+  auto& sensor = net_.emplace_node<SensorNode>(
+      sim::kNonBeaconIdBase, util::Vec2{500, 500}, 150.0, ctx_);
+  std::vector<sim::NodeId> beacon_ids;
+  const util::Vec2 spots[] = {{450, 450}, {560, 470}, {480, 590}};
+  sim::NodeId next = 1;
+  for (const auto& p : spots) {
+    auto& b = net_.emplace_node<BeaconNode>(next, p, 150.0, ctx_,
+                                            std::vector<sim::NodeId>{});
+    ctx_.truth[b.id()] = BeaconTruth{p, false};
+    beacon_ids.push_back(next++);
+  }
+  const util::Vec2 insider_pos{530, 440};
+  auto& insider = net_.emplace_node<InsiderBeacon>(
+      next, insider_pos, 150.0, ctx_.keys, insider_pos,
+      std::numeric_limits<double>::infinity());
+  ctx_.truth[insider.id()] = BeaconTruth{insider_pos, true};
+  beacon_ids.push_back(insider.id());
+  sensor.set_query_targets(beacon_ids);
+  sensor.start();
+  net_.run();
+  sensor.finalize();
+
+  EXPECT_EQ(ctx_.metrics.mac_failures, 0u);
+  EXPECT_EQ(ctx_.metrics.sensor_requests, 4u);
+  EXPECT_EQ(ctx_.metrics.sensor_replies, 3u);
+  EXPECT_EQ(ctx_.residual_hist->count(), 3u);
   ASSERT_TRUE(sensor.result().has_value());
   EXPECT_LT(util::distance(sensor.result()->position, sensor.position()),
             10.0);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <vector>
 
 namespace sld::crypto {
@@ -32,6 +33,44 @@ TEST(SipHash, OfficialVectors) {
     EXPECT_EQ(siphash24(key, msg), kReferenceVectors[len])
         << "message length " << len;
     msg.push_back(static_cast<std::uint8_t>(len));
+  }
+}
+
+TEST(SipHasher, OfficialVectorsAtEverySplitPoint) {
+  // Two updates split anywhere, and three updates split at every pair of
+  // points, must all equal the one-span hash — across the block-boundary
+  // top-up and the pending-tail paths of the streaming code.
+  const Key128 key = reference_key();
+  std::vector<std::uint8_t> msg;
+  for (std::size_t len = 0; len < std::size(kReferenceVectors); ++len) {
+    const std::span<const std::uint8_t> all(msg);
+    for (std::size_t a = 0; a <= len; ++a) {
+      SipHasher two(key);
+      two.update(all.first(a));
+      two.update(all.subspan(a));
+      EXPECT_EQ(two.finish(), kReferenceVectors[len])
+          << "length " << len << " split at " << a;
+      for (std::size_t b = a; b <= len; ++b) {
+        SipHasher three(key);
+        three.update(all.first(a));
+        three.update(all.subspan(a, b - a));
+        three.update(all.subspan(b));
+        EXPECT_EQ(three.finish(), kReferenceVectors[len])
+            << "length " << len << " split at " << a << ", " << b;
+      }
+    }
+    msg.push_back(static_cast<std::uint8_t>(len));
+  }
+}
+
+TEST(SipHasher, ByteAtATimeMatchesOneSpanForLongMessages) {
+  const Key128 key = reference_key();
+  std::vector<std::uint8_t> msg;
+  for (std::size_t len = 0; len <= 80; ++len) {
+    SipHasher h(key);
+    for (const std::uint8_t b : msg) h.update(std::span(&b, 1));
+    EXPECT_EQ(h.finish(), siphash24(key, msg)) << "length " << len;
+    msg.push_back(static_cast<std::uint8_t>(len * 37 + 11));
   }
 }
 

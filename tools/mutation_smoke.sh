@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Mutation smoke test: applies 13 curated single-line mutants to the
-# detection/revocation/sim sources and verifies the test suite kills every
+# Mutation smoke test: applies 16 curated single-line mutants to the
+# detection/revocation/sim/crypto/core sources and verifies the test suite kills every
 # one (at least one registered test fails per mutant). A mutant that
 # survives means a guard has no test teeth — the script fails loudly. It
 # edits the sources of the checkout it runs from (restoring each file
@@ -106,6 +106,25 @@ add_mutant "channel-drop-delivery-count" \
   "  ++stats_.deliveries;" \
   "  " \
   "test_properties_sim"
+
+add_mutant "sensor-keep-infinite-distance" \
+  "src/core/nodes.cpp" \
+  "  if (!std::isfinite(m.distance_ft)) return;
+" \
+  "" \
+  "test_nodes"
+
+add_mutant "mac-drop-length-word" \
+  "src/crypto/mac.cpp" \
+  "  h.update(header);" \
+  "  h.update(std::span(header).first(8));" \
+  "test_mac"
+
+add_mutant "event-queue-reverse-tie-break" \
+  "src/sim/event.hpp" \
+  "    return a.seq > b.seq;" \
+  "    return a.seq < b.seq;" \
+  "test_event_queue"
 
 add_mutant "detector-swallow-alert" \
   "src/detection/detector.cpp" \
