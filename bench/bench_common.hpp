@@ -1,23 +1,20 @@
 // Shared helpers for the figure-reproduction benches: a tiny flag parser
-// so every bench can be re-run with more statistical power — or full
-// forensics — without recompiling. Flags (all documented in DESIGN.md
+// so every bench can be re-run with more statistical power without
+// recompiling. Flags every bench takes (all documented in DESIGN.md
 // "Bench flags"):
 //   --trials N     trials per sweep point
 //   --seed S       base RNG seed
 //   --fast         shrink sweeps for smoke runs
 //   --repeats N    measured repetitions of the whole workload (default 1)
 //   --warmup N     unmeasured warmup repetitions (default 0)
-//   --trace FILE   JSONL event trace of every trial
-//   --metrics FILE per-trial metrics snapshots (benches that support it)
 //   --json FILE    machine-readable BENCH result (bench_runner.hpp)
 //   --profile FILE hierarchical profiler JSON; table goes to stderr
-//   --chaos-sweep  add a chaos column (benches that support it)
-//   --timeseries FILE  timeseries/v1 telemetry stream (supporting benches)
-//   --slo SPEC     SLO rules, inline or @file (supporting benches)
 //   --jobs N       worker threads per experiment (1 = serial, 0 = hardware)
 //   --memstats     allocation + hot-path telemetry (table on stderr,
 //                  "memstats" block in --json)
-//   --rss          sample peak RSS into the telemetry stream (mem.rss_kb)
+// A bench that writes traces or telemetry registers those flags in its
+// own ExtraFlagFn table (StreamFlags below), so every other bench rejects
+// them as unknown.
 #pragma once
 
 #include <cerrno>
@@ -104,27 +101,12 @@ struct BenchArgs {
   std::size_t repeats = 1;
   /// Unmeasured warmup repetitions before the measured ones.
   std::size_t warmup = 0;
-  /// JSONL trace destination ("--trace FILE"); empty means tracing off.
-  std::string trace_path;
-  /// Per-trial metrics snapshot destination ("--metrics FILE").
-  std::string metrics_path;
   /// Machine-readable bench-result destination ("--json FILE"); empty
   /// means no BENCH_*.json is written.
   std::string json_path;
   /// Profiler snapshot destination ("--profile FILE"); empty means the
   /// profiler stays off (zero overhead).
   std::string profile_path;
-  /// Extend the sweep with a chaos configuration (crash windows, a
-  /// partition, clock drift, a WAL-backed base-station outage) in benches
-  /// that support it ("--chaos-sweep"). Off by default so the standard
-  /// sweep output — and its golden hash — is byte-identical.
-  bool chaos_sweep = false;
-  /// `timeseries/v1` JSONL destination ("--timeseries FILE"); empty means
-  /// no telemetry stream (benches that support it).
-  std::string timeseries_path;
-  /// SLO rule spec ("--slo SPEC"): inline rules separated by ';', or
-  /// "@file" to read a rule file. Empty means the bench's defaults.
-  std::string slo_spec;
   /// Worker threads per experiment ("--jobs N"): 1 (the default) runs the
   /// classic serial loop, 0 means hardware concurrency, N>1 runs trials on
   /// the work-stealing executor. Every aggregate, golden, and stream is
@@ -136,32 +118,29 @@ struct BenchArgs {
   /// Summary table on stderr; a "memstats" block in --json. Off by
   /// default — stdout (and the golden hash) is byte-identical either way.
   bool memstats = false;
-  /// Sample peak process RSS into the telemetry stream as a `mem.rss_kb`
-  /// gauge ("--rss"; requires --timeseries to be visible anywhere). Off by
-  /// default: RSS is host state and varies machine to machine.
-  bool rss = false;
 
+  /// Pulls the value operand of `flag` off the command line (exits 2 when
+  /// it is missing).
+  using NextArgFn = std::function<const char*(const char*)>;
   /// Called for every flag parse() itself does not recognise. Pull value
   /// operands with the provided `next(flag)` callback; return true when
   /// the flag was consumed, false to make parse() reject it as unknown.
-  using ExtraFlagFn = std::function<bool(
-      const std::string& flag,
-      const std::function<const char*(const char*)>& next)>;
+  using ExtraFlagFn =
+      std::function<bool(const std::string& flag, const NextArgFn& next)>;
 
   static BenchArgs parse(int argc, char** argv) {
-    return parse(argc, argv, nullptr, nullptr);
+    return parse(argc, argv, nullptr, "");
   }
 
   /// Like parse() but benches may register extra flags (strictly parsed
   /// via the parse_* helpers above); `extra_help` lines are appended to
   /// the --help text.
   static BenchArgs parse(int argc, char** argv, const ExtraFlagFn& extra,
-                         const char* extra_help) {
+                         const std::string& extra_help) {
     BenchArgs args;
     for (int i = 1; i < argc; ++i) {
       const std::string a = argv[i];
-      const std::function<const char*(const char*)> next_arg =
-          [&](const char* flag) -> const char* {
+      const NextArgFn next_arg = [&](const char* flag) -> const char* {
         if (i + 1 >= argc) {
           std::cerr << flag << " requires a value\n";
           std::exit(2);
@@ -191,58 +170,35 @@ struct BenchArgs {
         }
       } else if (a == "--warmup") {
         args.warmup = static_cast<std::size_t>(next_value("--warmup"));
-      } else if (a == "--trace") {
-        args.trace_path = next_arg("--trace");
-      } else if (a == "--metrics") {
-        args.metrics_path = next_arg("--metrics");
       } else if (a == "--json") {
         args.json_path = next_arg("--json");
       } else if (a == "--profile") {
         args.profile_path = next_arg("--profile");
-      } else if (a == "--chaos-sweep") {
-        args.chaos_sweep = true;
-      } else if (a == "--timeseries") {
-        args.timeseries_path = next_arg("--timeseries");
-      } else if (a == "--slo") {
-        args.slo_spec = next_arg("--slo");
       } else if (a == "--jobs") {
         args.jobs = static_cast<std::size_t>(next_value("--jobs"));
       } else if (a == "--memstats") {
         args.memstats = true;
-      } else if (a == "--rss") {
-        args.rss = true;
       } else if (a == "--help" || a == "-h") {
         std::cout
             << "usage: " << argv[0]
             << " [--trials N] [--seed S] [--fast]"
             << " [--repeats N] [--warmup N]"
-            << " [--trace FILE] [--metrics FILE]"
-            << " [--json FILE] [--profile FILE] [--chaos-sweep]\n"
+            << " [--json FILE] [--profile FILE] [--jobs N] [--memstats]\n"
             << "  --trials N     trials per sweep point (default 5)\n"
             << "  --seed S       base RNG seed (default 1)\n"
             << "  --fast         shrink sweeps for smoke runs\n"
             << "  --repeats N    measured repetitions of the workload "
                "(default 1)\n"
             << "  --warmup N     unmeasured warmup repetitions (default 0)\n"
-            << "  --trace FILE   JSONL event trace of every trial\n"
-            << "  --metrics FILE per-trial metrics snapshots\n"
             << "  --json FILE    machine-readable bench result "
                "(sld-bench-result/v1)\n"
             << "  --profile FILE profiler JSON snapshot; top-self-time "
                "table on stderr\n"
-            << "  --chaos-sweep  add a chaos configuration to the sweep "
-               "(benches that support it)\n"
-            << "  --timeseries FILE  timeseries/v1 telemetry JSONL "
-               "(benches that support it)\n"
-            << "  --slo SPEC     SLO rules, inline or @file: "
-            << sld::obs::slo_spec_grammar() << "\n"
             << "  --jobs N       worker threads per experiment "
                "(default 1 = serial, 0 = hardware concurrency)\n"
             << "  --memstats     allocation + hot-path telemetry "
                "(stderr table; \"memstats\" block in --json)\n"
-            << "  --rss          sample peak RSS into the telemetry "
-               "stream (mem.rss_kb gauge)\n";
-        if (extra_help != nullptr) std::cout << extra_help;
+            << extra_help;
         std::exit(0);
       } else if (extra && extra(a, next_arg)) {
         // consumed by the bench's own flag table
@@ -253,37 +209,79 @@ struct BenchArgs {
     }
     return args;
   }
+};
 
-  /// Opens the --trace sink, or returns nullptr when tracing is off.
-  /// Wire the raw pointer into SystemConfig::trace_sink; the unique_ptr
-  /// must outlive every trial that uses it.
+/// Opens the JSONL sink a file flag names, or returns nullptr when the
+/// path is empty; exits(2) when the file cannot be opened. Wire the raw
+/// pointer into SystemConfig::trace_sink (or a Tracer); the unique_ptr
+/// must outlive every trial that uses it.
+inline std::unique_ptr<sld::obs::JsonlSink> open_jsonl_sink(
+    const char* flag, const std::string& path) {
+  if (path.empty()) return nullptr;
+  try {
+    return std::make_unique<sld::obs::JsonlSink>(path);
+  } catch (const std::exception& e) {
+    std::cerr << flag << ": " << e.what() << "\n";
+    std::exit(2);
+  }
+}
+
+/// The telemetry flags of the benches that drive their own alert timeline
+/// (ext_alert_storm, ext_framing_dos). Offer every flag to consume() from
+/// the bench's ExtraFlagFn, and append help() to its help text.
+struct StreamFlags {
+  /// JSONL event trace ("--trace FILE"); empty means tracing off.
+  std::string trace_path;
+  /// `timeseries/v1` JSONL destination ("--timeseries FILE"); empty means
+  /// no telemetry stream.
+  std::string timeseries_path;
+  /// SLO rule spec ("--slo SPEC"): inline rules separated by ';', or
+  /// "@file" to read a rule file. Empty means the bench's defaults.
+  std::string slo_spec;
+  /// Sample peak process RSS into the telemetry stream as a `mem.rss_kb`
+  /// gauge ("--rss"; visible only with --timeseries). Off by default: RSS
+  /// is host state and varies machine to machine.
+  bool rss = false;
+
+  /// True when `flag` is one of the four (its operand is pulled by `next`).
+  bool consume(const std::string& flag, const BenchArgs::NextArgFn& next) {
+    if (flag == "--trace") {
+      trace_path = next("--trace");
+    } else if (flag == "--timeseries") {
+      timeseries_path = next("--timeseries");
+    } else if (flag == "--slo") {
+      slo_spec = next("--slo");
+    } else if (flag == "--rss") {
+      rss = true;
+    } else {
+      return false;
+    }
+    return true;
+  }
+
+  static std::string help() {
+    std::string text =
+        "  --trace FILE   JSONL event trace\n"
+        "  --timeseries FILE  timeseries/v1 telemetry JSONL\n"
+        "  --slo SPEC     SLO rules, inline or @file: ";
+    text += sld::obs::slo_spec_grammar();
+    text += "\n  --rss          sample peak RSS into the telemetry stream "
+            "(mem.rss_kb gauge)\n";
+    return text;
+  }
+
   std::unique_ptr<sld::obs::JsonlSink> open_trace_sink() const {
-    if (trace_path.empty()) return nullptr;
-    try {
-      return std::make_unique<sld::obs::JsonlSink>(trace_path);
-    } catch (const std::exception& e) {
-      std::cerr << "--trace: " << e.what() << "\n";
-      std::exit(2);
-    }
+    return open_jsonl_sink("--trace", trace_path);
   }
 
-  /// Opens the --timeseries sink, or nullptr when telemetry streaming is
-  /// off. Same ownership contract as open_trace_sink().
   std::unique_ptr<sld::obs::JsonlSink> open_timeseries_sink() const {
-    if (timeseries_path.empty()) return nullptr;
-    try {
-      return std::make_unique<sld::obs::JsonlSink>(timeseries_path);
-    } catch (const std::exception& e) {
-      std::cerr << "--timeseries: " << e.what() << "\n";
-      std::exit(2);
-    }
+    return open_jsonl_sink("--timeseries", timeseries_path);
   }
 
-  /// Parses --slo (reading "@file" specs from disk). Returns `fallback`
-  /// when no spec was given; exits(2) on malformed rules, matching the
-  /// strict-flag convention.
-  std::vector<sld::obs::SloRule> parse_slo(
-      const std::string& fallback = "") const {
+  /// Parses --slo (reading "@file" specs from disk). Returns `fallback`'s
+  /// rules when no spec was given; exits(2) on malformed rules, matching
+  /// the strict-flag convention.
+  std::vector<sld::obs::SloRule> parse_slo(const std::string& fallback) const {
     std::string spec = slo_spec.empty() ? fallback : slo_spec;
     if (spec.empty()) return {};
     if (spec[0] == '@') {

@@ -218,13 +218,8 @@ constexpr const char* kDefaultStormSlo =
     "flood    rate(bs.ingest.rate_limited) > 50 sustain=2 clear=2;"
     "pressure gauge(bs.ingest.breaker_state) >= 1 sustain=1 clear=4";
 
-/// Raises a monotone mirror counter to a live pipeline statistic.
-void sync_counter(obs::Counter& c, std::uint64_t live) {
-  if (live > c.value()) c.inc(live - c.value());
-}
-
 void run_storm(const StormKnobs& knobs, const bench::BenchArgs& args,
-               bench::BenchIteration& it) {
+               const bench::StreamFlags& streams, bench::BenchIteration& it) {
   const std::size_t honest = 40;
   const std::size_t malicious = 6;
   const std::size_t benign = 30;
@@ -268,8 +263,8 @@ void run_storm(const StormKnobs& knobs, const bench::BenchArgs& args,
   pipeline.set_instruments(std::move(ins));
 
   // Trace/telemetry sinks only on the reported repeat, as in sweep mode.
-  const auto trace_sink = it.report() ? args.open_trace_sink() : nullptr;
-  const auto ts_sink = it.report() ? args.open_timeseries_sink() : nullptr;
+  const auto trace_sink = it.report() ? streams.open_trace_sink() : nullptr;
+  const auto ts_sink = it.report() ? streams.open_timeseries_sink() : nullptr;
 
   sim::SimTime sim_now = 0;
   obs::Tracer tracer(trace_sink.get(), [&sim_now] {
@@ -293,7 +288,7 @@ void run_storm(const StormKnobs& knobs, const bench::BenchArgs& args,
   topt.cadence_ns = kStormCadence;
   topt.ring_capacity = 64;  // >= the 60 windows of the 15 s timeline
   topt.sink = ts_sink.get();
-  topt.sample_rss = args.rss;
+  topt.sample_rss = streams.rss;
   // --rss: peak-RSS gauge refreshed per window, same pattern as the
   // in-system sampler (the stream gains host state; window timing and the
   // stdout table stay deterministic — mem.rss_kb never feeds the table).
@@ -305,13 +300,13 @@ void run_storm(const StormKnobs& knobs, const bench::BenchArgs& args,
   // window edge: commits due before the edge land inside the window.
   sampler.set_presample_hook([&](std::int64_t t) {
     pipeline.advance(static_cast<sim::SimTime>(t));
-    sync_counter(submitted_c, pipeline.stats().submitted);
-    sync_counter(committed_c, pipeline.stats().committed);
+    submitted_c.raise_to(pipeline.stats().submitted);
+    committed_c.raise_to(pipeline.stats().committed);
     if (rss_gauge != nullptr)
       rss_gauge->set(static_cast<double>(obs::current_rss_kb()));
   });
 
-  obs::SloMonitor slo(args.parse_slo(kDefaultStormSlo));
+  obs::SloMonitor slo(streams.parse_slo(kDefaultStormSlo));
   slo.add_tracer(tracer);
   if (ts_sink != nullptr && ts_sink.get() != trace_sink.get()) {
     slo.add_tracer(obs::Tracer(ts_sink.get(), [&sim_now] {
@@ -435,11 +430,13 @@ void run_storm(const StormKnobs& knobs, const bench::BenchArgs& args,
 
 int main(int argc, char** argv) {
   StormKnobs knobs;
+  bench::StreamFlags streams;
   bool storm = false;
   bool rate_set = false;
   const auto args = bench::BenchArgs::parse(
       argc, argv,
       [&](const std::string& a, const auto& next) {
+        if (streams.consume(a, next)) return true;
         if (a == "--shards") {
           knobs.shards = static_cast<std::uint32_t>(
               bench::parse_positive_ll("--shards", next("--shards")));
@@ -467,13 +464,15 @@ int main(int argc, char** argv) {
         }
         return false;
       },
-      "  --shards N     ingestion shards, > 0 (default 4)\n"
-      "  --rate R       admission tokens per reporter-second, > 0 "
-      "(default 5; 40 under --storm)\n"
-      "  --zipf S       flood target-popularity exponent, > 0 (default 1)\n"
-      "  --flood K      forged alerts per flooder, > 0 (default 200)\n"
-      "  --storm        single-cell deep-dive: 250 ms telemetry windows + "
-      "SLO verdict\n");
+      bench::StreamFlags::help() +
+          "  --shards N     ingestion shards, > 0 (default 4)\n"
+          "  --rate R       admission tokens per reporter-second, > 0 "
+          "(default 5; 40 under --storm)\n"
+          "  --zipf S       flood target-popularity exponent, > 0 "
+          "(default 1)\n"
+          "  --flood K      forged alerts per flooder, > 0 (default 200)\n"
+          "  --storm        single-cell deep-dive: 250 ms telemetry windows + "
+          "SLO verdict\n");
 
   // Storm mode defaults the token rate high enough that the burst
   // saturates the shards (queues fill, breaker trips) and not just the
@@ -483,7 +482,7 @@ int main(int argc, char** argv) {
   if (storm) {
     return bench::run_main("ext_alert_storm_storm", args,
                            [&](bench::BenchIteration& it) {
-                             run_storm(knobs, args, it);
+                             run_storm(knobs, args, streams, it);
                            });
   }
 
@@ -491,7 +490,7 @@ int main(int argc, char** argv) {
                                                           it) {
     // Trace only the reported iteration: warmup/measurement repeats would
     // otherwise duplicate every event in the sink.
-    const auto trace_sink = it.report() ? args.open_trace_sink() : nullptr;
+    const auto trace_sink = it.report() ? streams.open_trace_sink() : nullptr;
     const std::size_t honest = args.fast ? 30 : 40;
     const std::size_t malicious = args.fast ? 4 : 6;
     const std::size_t benign = args.fast ? 20 : 30;

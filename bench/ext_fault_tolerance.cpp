@@ -14,6 +14,7 @@
 // stays byte-identical for the golden hash.
 #include <fstream>
 #include <iostream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -102,6 +103,9 @@ chaos_scenarios() {
 
 int main(int argc, char** argv) {
   double burst_len = 4.0;
+  std::string trace_path;
+  std::string metrics_path;
+  bool chaos_sweep = false;
   const auto args = sld::bench::BenchArgs::parse(
       argc, argv,
       [&](const std::string& a, const auto& next) {
@@ -111,22 +115,38 @@ int main(int argc, char** argv) {
                                                 next("--burst-len"));
           return true;
         }
+        if (a == "--trace") {
+          trace_path = next("--trace");
+          return true;
+        }
+        if (a == "--metrics") {
+          metrics_path = next("--metrics");
+          return true;
+        }
+        if (a == "--chaos-sweep") {
+          chaos_sweep = true;
+          return true;
+        }
         return false;
       },
       "  --burst-len L  Gilbert-Elliott average burst length, > 0 "
-      "(default 4)\n");
+      "(default 4)\n"
+      "  --trace FILE   JSONL event trace of every trial\n"
+      "  --metrics FILE per-trial metrics snapshots\n"
+      "  --chaos-sweep  add a table of the chaos fault families\n");
 
   return sld::bench::run_main("ext_fault_tolerance", args,
                               [&](sld::bench::BenchIteration& it) {
   // Trace and metrics side effects belong to the reporting repetition
   // only (every repetition runs identical deterministic work).
   const auto trace_sink =
-      it.report() ? args.open_trace_sink() : nullptr;
+      it.report() ? sld::bench::open_jsonl_sink("--trace", trace_path)
+                  : nullptr;
   std::ofstream metrics_out;
-  if (it.report() && !args.metrics_path.empty()) {
-    metrics_out.open(args.metrics_path);
+  if (it.report() && !metrics_path.empty()) {
+    metrics_out.open(metrics_path);
     if (!metrics_out) {
-      std::cerr << "--metrics: cannot open " << args.metrics_path << "\n";
+      std::cerr << "--metrics: cannot open " << metrics_path << "\n";
       std::exit(2);
     }
     metrics_out << "[";
@@ -204,7 +224,7 @@ int main(int argc, char** argv) {
                   "(iid + Gilbert-Elliott burst len 4), ARQ off vs on "
                   "(timeout 250 ms, 4 retries, exp. backoff)");
 
-  if (args.chaos_sweep) {
+  if (chaos_sweep) {
     sld::util::Table chaos(
         {"scenario", "detection_rate", "ci95", "false_positive_rate",
          "revocation_latency_ms", "bs_restarts", "bs_failovers", "wal_lost",

@@ -87,12 +87,8 @@ struct Submission {
   sim::NodeId target = 0;
 };
 
-/// Raises a monotone mirror counter to a live station statistic.
-void sync_counter(obs::Counter& c, std::uint64_t live) {
-  if (live > c.value()) c.inc(live - c.value());
-}
-
 void run_framing(const FramingKnobs& knobs, const bench::BenchArgs& args,
+                 const bench::StreamFlags& streams,
                  bench::BenchIteration& it) {
   // Hand-placed roster over a 500x500 field with 250 ft lifecycle cells:
   // one dense cell, two medium cells, and a sparse two-beacon cell whose
@@ -198,8 +194,8 @@ void run_framing(const FramingKnobs& knobs, const bench::BenchArgs& args,
   obs::Gauge& evidence_g = reg.gauge("bs.evidence.framed_max");
   obs::Gauge& in_service_g = reg.gauge("bs.cluster.in_service");
 
-  const auto trace_sink = it.report() ? args.open_trace_sink() : nullptr;
-  const auto ts_sink = it.report() ? args.open_timeseries_sink() : nullptr;
+  const auto trace_sink = it.report() ? streams.open_trace_sink() : nullptr;
+  const auto ts_sink = it.report() ? streams.open_timeseries_sink() : nullptr;
 
   sim::SimTime sim_now = 0;
   obs::Tracer tracer(trace_sink.get(), [&sim_now] {
@@ -221,19 +217,19 @@ void run_framing(const FramingKnobs& knobs, const bench::BenchArgs& args,
   topt.cadence_ns = kCadence;
   topt.ring_capacity = 64;  // >= the 40 windows of the 20 s timeline
   topt.sink = ts_sink.get();
-  topt.sample_rss = args.rss;
+  topt.sample_rss = streams.rss;
   obs::Gauge* rss_gauge = topt.sample_rss ? &reg.gauge("mem.rss_kb") : nullptr;
   obs::TimeseriesSampler sampler(reg, topt);
   sampler.set_presample_hook([&](std::int64_t t) {
     const auto now = static_cast<sim::SimTime>(t);
     cluster.advance(now);
     const revocation::BaseStation& bs = cluster.authority();
-    sync_counter(accepted_c, bs.stats().alerts_accepted);
-    sync_counter(quarantines_c, bs.stats().quarantines);
-    sync_counter(exonerations_c, bs.stats().exonerations);
-    sync_counter(escalations_c, bs.stats().escalations);
-    sync_counter(refusals_c, bs.stats().guard_refusals);
-    sync_counter(revocations_c, bs.stats().revocations);
+    accepted_c.raise_to(bs.stats().alerts_accepted);
+    quarantines_c.raise_to(bs.stats().quarantines);
+    exonerations_c.raise_to(bs.stats().exonerations);
+    escalations_c.raise_to(bs.stats().escalations);
+    refusals_c.raise_to(bs.stats().guard_refusals);
+    revocations_c.raise_to(bs.stats().revocations);
     std::uint32_t min_usable = 0;
     bool first = true;
     for (const auto& cell : bs.lifecycle().census_all(now)) {
@@ -250,7 +246,7 @@ void run_framing(const FramingKnobs& knobs, const bench::BenchArgs& args,
       rss_gauge->set(static_cast<double>(obs::current_rss_kb()));
   });
 
-  obs::SloMonitor slo(args.parse_slo(kDefaultFramingSlo));
+  obs::SloMonitor slo(streams.parse_slo(kDefaultFramingSlo));
   slo.add_tracer(tracer);
   if (ts_sink != nullptr && ts_sink.get() != trace_sink.get()) {
     slo.add_tracer(obs::Tracer(ts_sink.get(), [&sim_now] {
@@ -355,10 +351,12 @@ void run_framing(const FramingKnobs& knobs, const bench::BenchArgs& args,
 
 int main(int argc, char** argv) {
   FramingKnobs knobs;
+  bench::StreamFlags streams;
   bool framing = false;
   const auto args = bench::BenchArgs::parse(
       argc, argv,
       [&](const std::string& a, const auto& next) {
+        if (streams.consume(a, next)) return true;
         if (a == "--targets") {
           knobs.targets = static_cast<std::uint32_t>(
               bench::parse_positive_ll("--targets", next("--targets")));
@@ -375,17 +373,18 @@ int main(int argc, char** argv) {
         }
         return false;
       },
-      "  --targets N    benign beacons the colluders frame, > 0 "
-      "(default 4)\n"
-      "  --waves W      re-accusation waves in the deep-dive, > 0 "
-      "(default 2; the sweep sweeps this)\n"
-      "  --framing      single-cell deep-dive: 500 ms lifecycle telemetry "
-      "windows + SLO verdict\n");
+      bench::StreamFlags::help() +
+          "  --targets N    benign beacons the colluders frame, > 0 "
+          "(default 4)\n"
+          "  --waves W      re-accusation waves in the deep-dive, > 0 "
+          "(default 2; the sweep sweeps this)\n"
+          "  --framing      single-cell deep-dive: 500 ms lifecycle telemetry "
+          "windows + SLO verdict\n");
 
   if (framing) {
     return bench::run_main("ext_framing_dos_framing", args,
                            [&](bench::BenchIteration& it) {
-                             run_framing(knobs, args, it);
+                             run_framing(knobs, args, streams, it);
                            });
   }
 
@@ -393,7 +392,7 @@ int main(int argc, char** argv) {
                                                           it) {
     // Trace only the reported iteration: warmup/measurement repeats would
     // otherwise duplicate every event in the sink.
-    const auto trace_sink = it.report() ? args.open_trace_sink() : nullptr;
+    const auto trace_sink = it.report() ? streams.open_trace_sink() : nullptr;
     const std::vector<std::uint32_t> wave_sweep =
         args.fast ? std::vector<std::uint32_t>{0, 2, 4}
                   : std::vector<std::uint32_t>{0, 1, 2, 4, 6};

@@ -281,12 +281,6 @@ void SecureLocalizationSystem::setup_telemetry() {
 }
 
 namespace {
-/// Raises a monotone mirror counter to the live value (never decreases).
-void sync_counter(obs::Counter* counter, std::uint64_t live) {
-  if (counter != nullptr && live > counter->value())
-    counter->inc(live - counter->value());
-}
-
 /// The memstats scope tags mirrored into the registry, in registration
 /// order (matching the SLD_MEM_SCOPE tags spread through the simulation).
 constexpr const char* kMemScopes[] = {"scheduler", "channel",   "messages",
@@ -349,9 +343,9 @@ void SecureLocalizationSystem::fold_memstats() {
     const std::uint64_t allocs = now.allocs - m.start.allocs;
     const std::uint64_t bytes = now.alloc_bytes - m.start.alloc_bytes;
     const std::uint64_t frees = now.frees - m.start.frees;
-    sync_counter(m.allocs, allocs);
-    sync_counter(m.bytes, bytes);
-    sync_counter(m.frees, frees);
+    m.allocs->raise_to(allocs);
+    m.bytes->raise_to(bytes);
+    m.frees->raise_to(frees);
     memhot_.allocs += allocs;
     memhot_.alloc_bytes += bytes;
     memhot_.frees += frees;
@@ -370,13 +364,13 @@ void SecureLocalizationSystem::fold_memstats() {
 
 void SecureLocalizationSystem::sync_telemetry(std::int64_t t) {
   const sim::ChannelStats& ch = network_.channel().stats();
-  sync_counter(tel_.tx, ch.transmissions);
-  sync_counter(tel_.deliveries, ch.deliveries);
-  sync_counter(tel_.drops, ch.losses + ch.dropped_by_fault +
-                               ch.partition_drops + ch.crashed_drops);
-  sync_counter(tel_.alerts, ctx_->metrics.alerts_submitted);
-  sync_counter(tel_.revocations, ctx_->metrics.revocation_times.size());
-  sync_counter(tel_.sched_executed, network_.scheduler().executed());
+  tel_.tx->raise_to(ch.transmissions);
+  tel_.deliveries->raise_to(ch.deliveries);
+  tel_.drops->raise_to(ch.losses + ch.dropped_by_fault + ch.partition_drops +
+                       ch.crashed_drops);
+  tel_.alerts->raise_to(ctx_->metrics.alerts_submitted);
+  tel_.revocations->raise_to(ctx_->metrics.revocation_times.size());
+  tel_.sched_executed->raise_to(network_.scheduler().executed());
   tel_.sched_pending->set(
       static_cast<double>(network_.scheduler().pending()));
   if (tel_.breaker != nullptr) {
@@ -388,9 +382,9 @@ void SecureLocalizationSystem::sync_telemetry(std::int64_t t) {
   tel_.in_service->set(ctx_->cluster.in_service() ? 1.0 : 0.0);
   if (tel_.quarantines != nullptr) {
     const revocation::BaseStationStats& bs = ctx_->bs().stats();
-    sync_counter(tel_.quarantines, bs.quarantines);
-    sync_counter(tel_.exonerations, bs.exonerations);
-    sync_counter(tel_.escalations, bs.escalations);
+    tel_.quarantines->raise_to(bs.quarantines);
+    tel_.exonerations->raise_to(bs.exonerations);
+    tel_.escalations->raise_to(bs.escalations);
     // Coverage floor as the defender sees it: the sparsest occupied cell's
     // usable-beacon count at the window edge (pure lazy-decay reads).
     const auto census =
@@ -405,9 +399,9 @@ void SecureLocalizationSystem::sync_telemetry(std::int64_t t) {
   }
   for (auto& m : mem_) {
     const obs::MemScopeStats now = obs::Memstats::thread_totals_for(m.tag);
-    sync_counter(m.allocs, now.allocs - m.start.allocs);
-    sync_counter(m.bytes, now.alloc_bytes - m.start.alloc_bytes);
-    sync_counter(m.frees, now.frees - m.start.frees);
+    m.allocs->raise_to(now.allocs - m.start.allocs);
+    m.bytes->raise_to(now.alloc_bytes - m.start.alloc_bytes);
+    m.frees->raise_to(now.frees - m.start.frees);
   }
   if (rss_gauge_ != nullptr)
     rss_gauge_->set(static_cast<double>(obs::current_rss_kb()));

@@ -1,21 +1,21 @@
 #include "localization/range_free.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
-
-#include "ranging/aoa.hpp"
 
 namespace sld::localization {
 
-namespace {
+std::optional<RangeFreeResult> range_free_estimate(
+    const std::vector<util::Vec2>& heard_beacon_positions,
+    const RangeFreeConfig& config) {
+  if (config.comm_range_ft <= 0.0)
+    throw std::invalid_argument("range_free: bad range");
+  if (config.grid_step_ft <= 0.0)
+    throw std::invalid_argument("range_free: bad grid step");
+  if (heard_beacon_positions.empty()) return std::nullopt;
 
-/// Shared grid-sampling core: centroid of the points satisfying
-/// `feasible` inside the bounding box of the disks.
-template <typename Predicate>
-std::optional<RangeFreeResult> sampled_centroid(
-    const std::vector<util::Vec2>& centers, const RangeFreeConfig& config,
-    Predicate feasible) {
+  // Grid-sample the bounding box of the disks' intersection.
+  const auto& centers = heard_beacon_positions;
   double x0 = centers[0].x - config.comm_range_ft;
   double x1 = centers[0].x + config.comm_range_ft;
   double y0 = centers[0].y - config.comm_range_ft;
@@ -28,12 +28,19 @@ std::optional<RangeFreeResult> sampled_centroid(
   }
   if (x0 > x1 || y0 > y1) return std::nullopt;
 
+  const double r2 = config.comm_range_ft * config.comm_range_ft;
+  const auto inside_every_disk = [&](const util::Vec2& p) {
+    for (const auto& b : centers) {
+      if (util::distance_squared(p, b) > r2) return false;
+    }
+    return true;
+  };
   util::Vec2 sum;
   std::size_t inside = 0;
   for (double x = x0; x <= x1; x += config.grid_step_ft) {
     for (double y = y0; y <= y1; y += config.grid_step_ft) {
       const util::Vec2 p{x, y};
-      if (!feasible(p)) continue;
+      if (!inside_every_disk(p)) continue;
       sum += p;
       ++inside;
     }
@@ -43,56 +50,6 @@ std::optional<RangeFreeResult> sampled_centroid(
   result.position = sum / static_cast<double>(inside);
   result.region_samples = inside;
   return result;
-}
-
-void validate(const RangeFreeConfig& config) {
-  if (config.comm_range_ft <= 0.0)
-    throw std::invalid_argument("range_free: bad range");
-  if (config.grid_step_ft <= 0.0)
-    throw std::invalid_argument("range_free: bad grid step");
-}
-
-}  // namespace
-
-std::optional<RangeFreeResult> range_free_estimate(
-    const std::vector<util::Vec2>& heard_beacon_positions,
-    const RangeFreeConfig& config) {
-  validate(config);
-  if (heard_beacon_positions.empty()) return std::nullopt;
-  const double r2 = config.comm_range_ft * config.comm_range_ft;
-  return sampled_centroid(
-      heard_beacon_positions, config, [&](const util::Vec2& p) {
-        for (const auto& b : heard_beacon_positions) {
-          if (util::distance_squared(p, b) > r2) return false;
-        }
-        return true;
-      });
-}
-
-std::optional<RangeFreeResult> serloc_estimate(
-    const std::vector<SectorReference>& sectors,
-    const RangeFreeConfig& config) {
-  validate(config);
-  if (sectors.empty()) return std::nullopt;
-  for (const auto& s : sectors) {
-    if (s.sector_halfwidth_rad <= 0.0 || s.sector_halfwidth_rad > M_PI)
-      throw std::invalid_argument("serloc_estimate: bad sector width");
-  }
-  std::vector<util::Vec2> centers;
-  centers.reserve(sectors.size());
-  for (const auto& s : sectors) centers.push_back(s.beacon_position);
-
-  const double r2 = config.comm_range_ft * config.comm_range_ft;
-  return sampled_centroid(centers, config, [&](const util::Vec2& p) {
-    for (const auto& s : sectors) {
-      if (util::distance_squared(p, s.beacon_position) > r2) return false;
-      const double bearing = ranging::true_bearing(s.beacon_position, p);
-      if (ranging::angular_distance(bearing, s.sector_bearing_rad) >
-          s.sector_halfwidth_rad)
-        return false;
-    }
-    return true;
-  });
 }
 
 }  // namespace sld::localization

@@ -38,20 +38,4 @@ std::optional<RangeFreeResult> range_free_estimate(
     const std::vector<util::Vec2>& heard_beacon_positions,
     const RangeFreeConfig& config = {});
 
-/// A SeRLoc sector constraint: the beacon transmitted on a directional
-/// antenna, so hearing it proves the sensor lies in the wedge of
-/// half-angle `sector_halfwidth_rad` around bearing `sector_bearing_rad`
-/// (as seen *from the beacon*), intersected with the coverage disk.
-struct SectorReference {
-  util::Vec2 beacon_position;
-  double sector_bearing_rad = 0.0;
-  double sector_halfwidth_rad = 0.0;
-};
-
-/// Full SeRLoc estimate: centroid of the intersection of the sector
-/// wedges. Degenerates to `range_free_estimate` with half-width pi.
-std::optional<RangeFreeResult> serloc_estimate(
-    const std::vector<SectorReference>& sectors,
-    const RangeFreeConfig& config = {});
-
 }  // namespace sld::localization

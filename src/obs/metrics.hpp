@@ -28,6 +28,11 @@ namespace sld::obs {
 class Counter {
  public:
   void inc(std::uint64_t n = 1) { value_ += n; }
+  /// Raises the counter to `live` if that is higher; never lowers it. A
+  /// registry mirror of a monotone live statistic syncs through this.
+  void raise_to(std::uint64_t live) {
+    if (live > value_) value_ = live;
+  }
   std::uint64_t value() const { return value_; }
 
  private:

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "sim/time.hpp"
-
 namespace sld::ranging {
 
 ProbabilisticWormholeDetector::ProbabilisticWormholeDetector(
@@ -32,29 +30,6 @@ GeographicLeashDetector::GeographicLeashDetector(double margin_ft)
     : margin_ft_(margin_ft) {
   if (margin_ft_ < 0.0)
     throw std::invalid_argument("GeographicLeashDetector: negative margin");
-}
-
-TemporalLeashDetector::TemporalLeashDetector(double max_clock_skew_cycles,
-                                             double range_ft)
-    : max_clock_skew_cycles_(max_clock_skew_cycles), range_ft_(range_ft) {
-  if (max_clock_skew_cycles < 0.0)
-    throw std::invalid_argument("TemporalLeashDetector: negative skew");
-  if (range_ft <= 0.0)
-    throw std::invalid_argument("TemporalLeashDetector: bad range");
-}
-
-double TemporalLeashDetector::max_legitimate_flight_cycles() const {
-  return sim::propagation_cycles(range_ft_) + max_clock_skew_cycles_;
-}
-
-bool TemporalLeashDetector::detects(const WormholeEvidence& evidence,
-                                    util::Rng& rng) const {
-  (void)rng;  // deterministic detector
-  if (evidence.sender_faked_indication) return true;
-  if (!evidence.has_timestamps) return false;
-  const double flight =
-      evidence.rx_timestamp_cycles - evidence.tx_timestamp_cycles;
-  return flight > max_legitimate_flight_cycles();
 }
 
 bool GeographicLeashDetector::detects(const WormholeEvidence& evidence,

@@ -43,14 +43,6 @@ struct WormholeEvidence {
   double measured_distance_ft = 0.0;
   /// Nominal radio range of the claimed sender, in feet.
   double sender_range_ft = 0.0;
-
-  /// Temporal-leash inputs (valid only when `has_timestamps`): the
-  /// sender's authenticated transmission timestamp and the receiver's
-  /// arrival timestamp, both in CPU cycles of a loosely synchronized
-  /// network clock.
-  bool has_timestamps = false;
-  double tx_timestamp_cycles = 0.0;
-  double rx_timestamp_cycles = 0.0;
 };
 
 class WormholeDetector {
@@ -91,28 +83,6 @@ class GeographicLeashDetector final : public WormholeDetector {
 
  private:
   double margin_ft_;
-};
-
-/// Temporal packet leash [Hu-Perrig-Johnson 03]: with loosely synchronized
-/// clocks, a packet whose measured flight time exceeds one radio range's
-/// propagation time (plus the clock-skew budget) must have been tunnelled.
-/// Requires `WormholeEvidence::has_timestamps`; evidence without
-/// timestamps is never flagged (except for faked indications).
-class TemporalLeashDetector final : public WormholeDetector {
- public:
-  /// `max_clock_skew_cycles`: bound on |sender clock - receiver clock|.
-  /// `range_ft`: nominal radio range bounding legitimate flight time.
-  TemporalLeashDetector(double max_clock_skew_cycles, double range_ft);
-
-  bool detects(const WormholeEvidence& evidence,
-               util::Rng& rng) const override;
-
-  /// The largest flight time (cycles) a direct packet can exhibit.
-  double max_legitimate_flight_cycles() const;
-
- private:
-  double max_clock_skew_cycles_;
-  double range_ft_;
 };
 
 }  // namespace sld::ranging

@@ -1,17 +1,14 @@
 // Clock-drift faults: deterministic per-node rate assignment, the signed
-// RTT skew it induces, the drift-aware time-sync error bound (property
-// test, replayable via SLD_PROP_SEED), the RTT filter's guard band keeping
-// the false-positive budget under drift, and a system trial under drift
-// revoking no benign beacon.
+// RTT skew it induces, the RTT filter's guard band keeping the
+// false-positive budget under drift (replayable via SLD_PROP_SEED), and a
+// system trial under drift revoking no benign beacon.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
+#include "core/nodes.hpp"
 #include "core/secure_localization.hpp"
 #include "prop/prop.hpp"
-#include "ranging/rtt.hpp"
-#include "ranging/time_sync.hpp"
 #include "sim/faults.hpp"
 
 namespace {
@@ -66,88 +63,28 @@ TEST(ClockDrift, RttSkewIsAntisymmetricAndMatchesRateDifference) {
   }
 }
 
-struct SyncCase {
-  double distance_ft = 0.0;
-  double drift_ppm = 0.0;
-  double offset_cycles = 0.0;
-};
-
-prop::Gen<SyncCase> sync_case_gen() {
-  prop::Gen<SyncCase> g;
-  g.generate = [](util::Rng& rng) {
-    SyncCase c;
-    c.distance_ft = rng.uniform(0.0, 150.0);
-    c.drift_ppm = rng.uniform(-200.0, 200.0);
-    c.offset_cycles = rng.uniform(-1e6, 1e6);
-    return c;
-  };
-  g.show = [](const SyncCase& c) {
-    std::ostringstream os;
-    os << "{dist=" << c.distance_ft << "ft drift=" << c.drift_ppm
-       << "ppm offset=" << c.offset_cycles << "}";
-    return os.str();
-  };
-  return g;
-}
-
-TEST(ClockDrift, HonestSyncErrorStaysWithinDriftAwareBound) {
-  // Satellite (c): for any drift within the declared envelope, one honest
-  // exchange recovers the offset to within max_sync_error_cycles(model,
-  // |drift|, distance). Replay a failure with SLD_PROP_SEED=<seed>.
-  const ranging::MoteTimingModel model;
-  EXPECT_TRUE(prop::forall(
-      "drifting sync error <= drift-aware bound", sync_case_gen(),
-      [&](const SyncCase& c, util::Rng& rng) {
-        const auto r = ranging::synchronize_drifting(
-            model, c.distance_ft, c.offset_cycles, c.drift_ppm, 0.0, rng);
-        const double bound = ranging::max_sync_error_cycles(
-            model, std::abs(c.drift_ppm), c.distance_ft);
-        return std::abs(r.offset_cycles - c.offset_cycles) <= bound + 1e-9;
-      },
-      prop::Config{300, prop::env_seed_or(0x5afe5eedULL)}));
-}
-
-TEST(ClockDrift, DriftAwareBoundReducesToAsymmetryBoundAtZero) {
-  const ranging::MoteTimingModel model;
-  EXPECT_DOUBLE_EQ(ranging::max_sync_error_cycles(model, 0.0, 500.0),
-                   ranging::max_sync_error_cycles(model));
-  EXPECT_GT(ranging::max_sync_error_cycles(model, 100.0, 500.0),
-            ranging::max_sync_error_cycles(model));
-  EXPECT_THROW(ranging::max_sync_error_cycles(model, -1.0, 1.0),
-               std::invalid_argument);
-  EXPECT_THROW(ranging::max_sync_error_cycles(model, 1e7, 1.0),
-               std::invalid_argument);
-  util::Rng rng(9);
-  EXPECT_THROW(
-      ranging::synchronize_drifting(model, 1.0, 0.0, -1e6, 0.0, rng),
-      std::invalid_argument);
-}
-
-TEST(ClockDrift, DriftFreeCallReproducesSynchronizeBitForBit) {
-  const ranging::MoteTimingModel model;
-  util::Rng a(42), b(42);
-  for (int i = 0; i < 200; ++i) {
-    const auto plain = ranging::synchronize(model, 80.0, 1234.0, 0.0, a);
-    const auto drifted =
-        ranging::synchronize_drifting(model, 80.0, 1234.0, 0.0, 0.0, b);
-    EXPECT_EQ(plain.offset_cycles, drifted.offset_cycles);
-    EXPECT_EQ(plain.delay_cycles, drifted.delay_cycles);
-  }
+/// How far the system widens the replay filter's x_max beyond the
+/// calibrated one.
+double guard_band(const core::SystemContext& ctx) {
+  return ctx.detector->replay_filter().config().rtt_x_max_cycles -
+         ctx.rtt_calibration.x_max_cycles;
 }
 
 TEST(ClockDrift, GuardBandKeepsRttFilterFalsePositiveBudget) {
-  // The system widens x_max by the worst-case skew
-  // (2 * max_ppm * 1e-6 * turnaround). With an aggressive 2000 ppm
-  // envelope the raw skew (~590 cycles against a 1728-cycle span) would
-  // push honest measurements over the calibrated x_max; with the guard
-  // band the false-positive rate must stay within a 1% budget.
-  const ranging::MoteTimingModel model;
-  const double max_ppm = 2000.0;
-  util::Rng calib_rng(31);
-  const auto calib = ranging::calibrate_rtt(model, 10'000, 150.0, calib_rng);
-  auto inj = drifting_injector(max_ppm, /*seed=*/13);
-  const double guard =
-      2.0 * max_ppm * 1e-6 * inj.plan().clock_drift.turnaround_cycles;
+  // The system widens x_max by the worst-case skew so drift alone never
+  // reads as replay delay. With drift off the calibrated x_max is used
+  // untouched. With an aggressive 2000 ppm envelope the raw skew (~590
+  // cycles against a 1728-cycle span) would push honest measurements over
+  // the calibrated x_max; the filter the system builds must keep the
+  // false-positive rate within a 1% budget.
+  core::SystemConfig c;
+  EXPECT_EQ(guard_band(core::SystemContext(c)), 0.0);
+
+  c.faults.clock_drift.max_drift_ppm = 2000.0;
+  const core::SystemContext ctx(c);
+  EXPECT_GT(guard_band(ctx), 0.0);
+  const detection::ReplayFilter& filter = ctx.detector->replay_filter();
+  const sim::FaultInjector inj(c.faults, util::Rng(13));
 
   util::Rng rng(prop::env_seed_or(0xd41f7));
   int fp_guarded = 0, over_unguarded = 0;
@@ -155,11 +92,11 @@ TEST(ClockDrift, GuardBandKeepsRttFilterFalsePositiveBudget) {
   for (int i = 0; i < samples; ++i) {
     const auto rx = static_cast<sim::NodeId>(rng.uniform_int(0, 299));
     const auto tx = static_cast<sim::NodeId>(rng.uniform_int(0, 299));
-    const double dist = rng.uniform(0.0, 150.0);
+    const double dist = rng.uniform(0.0, c.deployment.comm_range_ft);
     const double observed =
-        model.sample_rtt_cycles(dist, rng) + inj.rtt_skew_cycles(rx, tx);
-    if (observed > calib.x_max_cycles) ++over_unguarded;
-    if (observed > calib.x_max_cycles + guard) ++fp_guarded;
+        ctx.timing.sample_rtt_cycles(dist, rng) + inj.rtt_skew_cycles(rx, tx);
+    if (observed > ctx.rtt_calibration.x_max_cycles) ++over_unguarded;
+    if (filter.rtt_looks_replayed(observed)) ++fp_guarded;
   }
   // Drift genuinely stresses the unguarded threshold...
   EXPECT_GT(over_unguarded, 0);

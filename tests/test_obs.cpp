@@ -32,6 +32,21 @@ TEST(Metrics, CounterAndGauge) {
   EXPECT_EQ(reg.counter("hits").value(), 6u);
 }
 
+TEST(Metrics, RaiseToNeverLowersACounter) {
+  obs::Counter c;
+  c.raise_to(7);
+  EXPECT_EQ(c.value(), 7u);
+  c.raise_to(3);
+  EXPECT_EQ(c.value(), 7u);
+  c.raise_to(7);
+  EXPECT_EQ(c.value(), 7u);
+  c.inc(2);
+  c.raise_to(0);
+  EXPECT_EQ(c.value(), 9u);
+  c.raise_to(12);
+  EXPECT_EQ(c.value(), 12u);
+}
+
 TEST(Metrics, HistogramBasics) {
   obs::Histogram h(0.0, 100.0, 10);
   EXPECT_EQ(h.count(), 0u);

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "ranging/aoa.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -95,59 +94,6 @@ TEST(RangeFree, InconsistentClaimsYieldNothing) {
   // heard — the empty intersection is itself a tamper signal.
   const auto result = range_free_estimate({{0, 0}, {400, 0}});
   EXPECT_FALSE(result.has_value());
-}
-
-TEST(Serloc, SectorsTightenTheEstimate) {
-  // Same beacons, but each also reports the sector the sensor is in: the
-  // feasible region shrinks and the estimate improves.
-  const util::Vec2 truth{500, 500};
-  const std::vector<util::Vec2> beacons{{400, 500}, {500, 400}, {430, 430}};
-  std::vector<SectorReference> sectors;
-  for (const auto& b : beacons) {
-    SectorReference s;
-    s.beacon_position = b;
-    s.sector_bearing_rad = ranging::true_bearing(b, truth);
-    s.sector_halfwidth_rad = 0.3;  // ~34 degree sectors
-    sectors.push_back(s);
-  }
-  const auto disk_only = range_free_estimate(beacons);
-  const auto sectored = serloc_estimate(sectors);
-  ASSERT_TRUE(disk_only.has_value());
-  ASSERT_TRUE(sectored.has_value());
-  EXPECT_LT(sectored->region_samples, disk_only->region_samples);
-  EXPECT_LE(util::distance(sectored->position, truth),
-            util::distance(disk_only->position, truth) + 5.0);
-}
-
-TEST(Serloc, FullWidthSectorsMatchDiskIntersection) {
-  const std::vector<util::Vec2> beacons{{100, 100}, {180, 100}};
-  std::vector<SectorReference> sectors;
-  for (const auto& b : beacons)
-    sectors.push_back({b, 0.0, M_PI});  // omnidirectional
-  const auto disk = range_free_estimate(beacons);
-  const auto serloc = serloc_estimate(sectors);
-  ASSERT_TRUE(disk.has_value());
-  ASSERT_TRUE(serloc.has_value());
-  EXPECT_EQ(serloc->region_samples, disk->region_samples);
-  EXPECT_NEAR(util::distance(serloc->position, disk->position), 0.0, 1e-9);
-}
-
-TEST(Serloc, ContradictorySectorsYieldNothing) {
-  // Two beacons pointing their sectors away from each other: no feasible
-  // point — a tamper signal, just like empty disk intersections.
-  std::vector<SectorReference> sectors{
-      {{100, 100}, M_PI, 0.2},  // sensor claimed west of beacon 1
-      {{180, 100}, 0.0, 0.2}};  // ... and east of beacon 2: impossible
-  const auto result = serloc_estimate(sectors);
-  EXPECT_FALSE(result.has_value());
-}
-
-TEST(Serloc, Validation) {
-  EXPECT_FALSE(serloc_estimate({}).has_value());
-  std::vector<SectorReference> bad{{{0, 0}, 0.0, 0.0}};
-  EXPECT_THROW(serloc_estimate(bad), std::invalid_argument);
-  bad[0].sector_halfwidth_rad = 4.0;
-  EXPECT_THROW(serloc_estimate(bad), std::invalid_argument);
 }
 
 TEST(RangeFree, Validation) {

@@ -138,59 +138,6 @@ TEST(GeographicLeash, RejectsNegativeMargin) {
   EXPECT_THROW(GeographicLeashDetector(-1.0), std::invalid_argument);
 }
 
-TEST(TemporalLeash, FlagsExcessiveFlightTime) {
-  // 150 ft range: legitimate flight < ~1.2 cycles (+ skew budget 10).
-  TemporalLeashDetector det(10.0, 150.0);
-  util::Rng rng(10);
-  WormholeEvidence e = tunneled_evidence();
-  e.has_timestamps = true;
-  e.tx_timestamp_cycles = 1000.0;
-  e.rx_timestamp_cycles = 1000.0 + det.max_legitimate_flight_cycles() + 1.0;
-  EXPECT_TRUE(det.detects(e, rng));
-}
-
-TEST(TemporalLeash, PassesDirectFlight) {
-  TemporalLeashDetector det(10.0, 150.0);
-  util::Rng rng(11);
-  WormholeEvidence e = direct_evidence();
-  e.has_timestamps = true;
-  e.tx_timestamp_cycles = 1000.0;
-  // 100 ft flight ~ 0.75 cycles, well within range + skew.
-  e.rx_timestamp_cycles = 1000.75;
-  EXPECT_FALSE(det.detects(e, rng));
-}
-
-TEST(TemporalLeash, SkewBudgetAbsorbsClockError) {
-  TemporalLeashDetector tight(0.0, 150.0);
-  TemporalLeashDetector loose(50.0, 150.0);
-  util::Rng rng(12);
-  WormholeEvidence e = direct_evidence();
-  e.has_timestamps = true;
-  e.tx_timestamp_cycles = 1000.0;
-  e.rx_timestamp_cycles = 1030.0;  // 30 cycles of apparent flight
-  EXPECT_TRUE(tight.detects(e, rng));
-  EXPECT_FALSE(loose.detects(e, rng));
-}
-
-TEST(TemporalLeash, NoTimestampsNeverFlags) {
-  TemporalLeashDetector det(10.0, 150.0);
-  util::Rng rng(13);
-  EXPECT_FALSE(det.detects(tunneled_evidence(), rng));
-}
-
-TEST(TemporalLeash, FakedIndicationAlwaysFires) {
-  TemporalLeashDetector det(10.0, 150.0);
-  util::Rng rng(14);
-  WormholeEvidence e = direct_evidence();
-  e.sender_faked_indication = true;
-  EXPECT_TRUE(det.detects(e, rng));
-}
-
-TEST(TemporalLeash, Validation) {
-  EXPECT_THROW(TemporalLeashDetector(-1.0, 150.0), std::invalid_argument);
-  EXPECT_THROW(TemporalLeashDetector(10.0, 0.0), std::invalid_argument);
-}
-
 TEST(GeographicLeash, IsDeterministic) {
   GeographicLeashDetector det(4.0);
   util::Rng rng(9);

@@ -33,6 +33,8 @@ import argparse
 import json
 import sys
 
+from jsonl_schema import records
+
 PROFILE_SCHEMA = "sld-profile/v1"
 TS_SCHEMA = "timeseries/v1"
 
@@ -102,14 +104,7 @@ def timeseries_to_events(lines, path):
     sim time (ns -> us)."""
     events = []
     saw_meta = False
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path}:{lineno}: {e}") from e
+    for lineno, rec in records(lines, path):
         kind = rec.get("e")
         if kind == "ts.meta":
             if rec.get("schema") != TS_SCHEMA:

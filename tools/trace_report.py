@@ -16,8 +16,9 @@ retry storms. Stdlib only.
 
 import argparse
 import collections
-import json
 import sys
+
+from jsonl_schema import TELEMETRY_FIELDS, finish_validation, load
 
 # Required fields per event type. A field listed here must be present;
 # extra fields are always allowed (the schema is append-only).
@@ -94,15 +95,9 @@ SCHEMA = {
     "sensor.drop_revoked": ["node", "target"],
     "sensor.localized": ["node", "err_ft", "refs"],
     "sensor.unlocalized": ["node", "refs"],
-    # Streaming telemetry (timeseries/v1; ts.meta opens each trial's stream
-    # and, like trial.start, resets the monotone-time cursor).
-    "ts.meta": ["schema", "cadence_ns", "seed"],
-    "ts.window": ["idx", "start", "end", "counters", "deltas", "gauges",
-                  "hists"],
-    # SLO monitor transitions ("windows" = the sustain/clear streak length
-    # that triggered the transition).
-    "slo.breach": ["rule", "value", "threshold", "window", "windows"],
-    "slo.recover": ["rule", "value", "threshold", "window", "windows"],
+    # Streaming telemetry (timeseries/v1) and SLO transitions, when the
+    # telemetry stream aliases the trace sink.
+    **TELEMETRY_FIELDS,
 }
 
 # Events that open a new trial/stream segment and reset the monotone-time
@@ -110,16 +105,6 @@ SCHEMA = {
 RESET_EVENTS = ("trial.start", "ts.meta")
 
 VERDICT_EVENTS = ("detect.verdict", "query.verdict")
-
-
-def load(path):
-    """Yields (line_number, record) pairs; raises on unparsable lines."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            yield n, json.loads(line)
 
 
 def validate(path):
@@ -156,16 +141,10 @@ def validate(path):
                         f"{last_t_per_trial})")
                 else:
                     last_t_per_trial = t
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         errors.append(str(exc))
-    for e in errors[:50]:
-        print(f"INVALID: {e}", file=sys.stderr)
-    if len(errors) > 50:
-        print(f"... and {len(errors) - 50} more", file=sys.stderr)
-    if errors:
-        return 1
-    print(f"OK: {count} records, all schema-valid")
-    return 0
+    return finish_validation(errors,
+                             f"OK: {count} records, all schema-valid")
 
 
 def ms(t_ns):
@@ -432,7 +411,7 @@ def main():
         sys.exit(validate(args.trace))
     try:
         report(args.trace, chains=not args.no_chains)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc!r}", file=sys.stderr)
         sys.exit(1)
 

@@ -20,8 +20,9 @@ Stdlib only.
 """
 
 import argparse
-import json
 import sys
+
+from jsonl_schema import TELEMETRY_FIELDS, finish_validation, load
 
 SCHEMA_NAME = "timeseries/v1"
 
@@ -48,26 +49,7 @@ DASHBOARD_GAUGES = [
 ]
 
 
-def load(path):
-    """Yields (line_number, record) pairs; raises on unparsable lines."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            yield n, json.loads(line)
-
-
 # --- validation -------------------------------------------------------------
-
-REQUIRED = {
-    "ts.meta": ["schema", "cadence_ns", "seed"],
-    "ts.window": ["idx", "start", "end", "counters", "deltas", "gauges",
-                  "hists"],
-    "slo.breach": ["rule", "value", "threshold", "window", "windows"],
-    "slo.recover": ["rule", "value", "threshold", "window", "windows"],
-}
-
 
 def validate(path):
     errors = []
@@ -86,12 +68,12 @@ def validate(path):
             if not isinstance(etype, str):
                 errors.append(f"line {n}: 'e' missing or not a string")
                 continue
-            if etype not in REQUIRED:
+            if etype not in TELEMETRY_FIELDS:
                 errors.append(
                     f"line {n}: unexpected event '{etype}' in a "
                     f"timeseries stream")
                 continue
-            missing = [k for k in REQUIRED[etype] if k not in rec]
+            missing = [k for k in TELEMETRY_FIELDS[etype] if k not in rec]
             if missing:
                 errors.append(f"line {n}: {etype} missing field(s) {missing}")
                 continue
@@ -141,16 +123,10 @@ def validate(path):
                             f"cumulative step {cum - before}")
                 prev_idx, prev_end = idx, end
                 prev_counters = dict(counters)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         errors.append(str(exc))
-    for e in errors[:50]:
-        print(f"INVALID: {e}", file=sys.stderr)
-    if len(errors) > 50:
-        print(f"... and {len(errors) - 50} more", file=sys.stderr)
-    if errors:
-        return 1
-    print(f"OK: {count} records, all schema-valid and self-consistent")
-    return 0
+    return finish_validation(
+        errors, f"OK: {count} records, all schema-valid and self-consistent")
 
 
 # --- report -----------------------------------------------------------------
@@ -363,7 +339,7 @@ def main():
             code = report(args.stream, metrics=args.metric,
                           dashboard=args.dashboard)
         sys.exit(code)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc!r}", file=sys.stderr)
         sys.exit(1)
 
