@@ -243,24 +243,14 @@ void run_storm(const StormKnobs& knobs, const bench::BenchArgs& args,
   ic.admission.reporter_burst = 16.0;
   revocation::IngestPipeline pipeline(ic, cluster);
 
-  // Pipeline instruments live in a per-run registry, same names as the
-  // full system's (core/nodes.cpp) so --slo specs port across both.
+  // Pipeline instruments live in a per-run registry, registered by the
+  // same call as the full system's, so --slo specs port across both.
   obs::MetricsRegistry reg;
-  revocation::IngestPipeline::Instruments ins;
-  ins.accepted = &reg.counter("bs.ingest.accepted");
-  ins.shed = &reg.counter("bs.ingest.shed");
-  ins.rate_limited = &reg.counter("bs.ingest.rate_limited");
-  ins.deferred = &reg.counter("bs.ingest.deferred");
-  ins.latency_ms = &reg.histogram("bs.ingest.latency_ms", 0.1, 60'000.0, 32,
-                                  obs::HistogramScale::kLog);
-  for (std::uint32_t i = 0; i < ic.shard.count; ++i) {
-    ins.queue_depth.push_back(
-        &reg.gauge("bs.ingest.queue_depth.s" + std::to_string(i)));
-  }
-  ins.breaker_state = &reg.gauge("bs.ingest.breaker_state");
-  obs::Counter& submitted_c = reg.counter("bs.ingest.submitted");
-  obs::Counter& committed_c = reg.counter("bs.ingest.committed");
-  pipeline.set_instruments(std::move(ins));
+  pipeline.register_instruments(reg);
+  reg.counter("bs.ingest.submitted",
+              [&pipeline] { return pipeline.stats().submitted; });
+  reg.counter("bs.ingest.committed",
+              [&pipeline] { return pipeline.stats().committed; });
 
   // Trace/telemetry sinks only on the reported repeat, as in sweep mode.
   const auto trace_sink = it.report() ? streams.open_trace_sink() : nullptr;
@@ -300,8 +290,6 @@ void run_storm(const StormKnobs& knobs, const bench::BenchArgs& args,
   // window edge: commits due before the edge land inside the window.
   sampler.set_presample_hook([&](std::int64_t t) {
     pipeline.advance(static_cast<sim::SimTime>(t));
-    submitted_c.raise_to(pipeline.stats().submitted);
-    committed_c.raise_to(pipeline.stats().committed);
     if (rss_gauge != nullptr)
       rss_gauge->set(static_cast<double>(obs::current_rss_kb()));
   });

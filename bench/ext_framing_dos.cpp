@@ -182,17 +182,25 @@ void run_framing(const FramingKnobs& knobs, const bench::BenchArgs& args,
 
   // Lifecycle instruments in a per-run registry, same names the full
   // system registers (core/secure_localization.cpp), so --slo specs port.
+  // The base-station counts read through the live authority, which a WAL
+  // restore replaces.
   obs::MetricsRegistry reg;
   obs::Counter& submitted_c = reg.counter("alerts.submitted");
-  obs::Counter& accepted_c = reg.counter("bs.alerts_accepted");
-  obs::Counter& quarantines_c = reg.counter("bs.quarantines");
-  obs::Counter& exonerations_c = reg.counter("bs.exonerations");
-  obs::Counter& escalations_c = reg.counter("bs.escalations");
-  obs::Counter& refusals_c = reg.counter("bs.guard_refusals");
-  obs::Counter& revocations_c = reg.counter("bs.revocations");
+  const auto stats = [&cluster]() -> const revocation::BaseStationStats& {
+    return cluster.authority().stats();
+  };
+  reg.counter("bs.alerts_accepted",
+              [stats] { return stats().alerts_accepted; });
+  reg.counter("bs.quarantines", [stats] { return stats().quarantines; });
+  reg.counter("bs.exonerations", [stats] { return stats().exonerations; });
+  reg.counter("bs.escalations", [stats] { return stats().escalations; });
+  reg.counter("bs.guard_refusals",
+              [stats] { return stats().guard_refusals; });
+  reg.counter("bs.revocations", [stats] { return stats().revocations; });
   obs::Gauge& min_usable_g = reg.gauge("coverage.min_usable");
   obs::Gauge& evidence_g = reg.gauge("bs.evidence.framed_max");
-  obs::Gauge& in_service_g = reg.gauge("bs.cluster.in_service");
+  reg.gauge("bs.cluster.in_service",
+            [&cluster] { return cluster.in_service() ? 1.0 : 0.0; });
 
   const auto trace_sink = it.report() ? streams.open_trace_sink() : nullptr;
   const auto ts_sink = it.report() ? streams.open_timeseries_sink() : nullptr;
@@ -224,24 +232,11 @@ void run_framing(const FramingKnobs& knobs, const bench::BenchArgs& args,
     const auto now = static_cast<sim::SimTime>(t);
     cluster.advance(now);
     const revocation::BaseStation& bs = cluster.authority();
-    accepted_c.raise_to(bs.stats().alerts_accepted);
-    quarantines_c.raise_to(bs.stats().quarantines);
-    exonerations_c.raise_to(bs.stats().exonerations);
-    escalations_c.raise_to(bs.stats().escalations);
-    refusals_c.raise_to(bs.stats().guard_refusals);
-    revocations_c.raise_to(bs.stats().revocations);
-    std::uint32_t min_usable = 0;
-    bool first = true;
-    for (const auto& cell : bs.lifecycle().census_all(now)) {
-      if (first || cell.usable < min_usable) min_usable = cell.usable;
-      first = false;
-    }
-    min_usable_g.set(static_cast<double>(min_usable));
+    min_usable_g.set(static_cast<double>(bs.lifecycle().min_usable(now)));
     double max_evidence = 0.0;
     for (const sim::NodeId target : plan.targets)
       max_evidence = std::max(max_evidence, bs.evidence(target, now));
     evidence_g.set(max_evidence);
-    in_service_g.set(cluster.in_service() ? 1.0 : 0.0);
     if (rss_gauge != nullptr)
       rss_gauge->set(static_cast<double>(obs::current_rss_kb()));
   });

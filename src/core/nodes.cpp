@@ -96,20 +96,7 @@ SystemContext::SystemContext(const SystemConfig& cfg)
   // Ingest instruments exist only for pipeline-enabled configs, for the
   // same goldens reason as recovery.latency_ms above.
   if (cfg.ingest.enabled()) {
-    revocation::IngestPipeline::Instruments ins;
-    ins.accepted = &instruments.counter("bs.ingest.accepted");
-    ins.shed = &instruments.counter("bs.ingest.shed");
-    ins.rate_limited = &instruments.counter("bs.ingest.rate_limited");
-    ins.deferred = &instruments.counter("bs.ingest.deferred");
-    ins.latency_ms = &instruments.histogram("bs.ingest.latency_ms", 0.1,
-                                            60'000.0, 32,
-                                            obs::HistogramScale::kLog);
-    for (std::uint32_t i = 0; i < cfg.ingest.shard.count; ++i) {
-      ins.queue_depth.push_back(
-          &instruments.gauge("bs.ingest.queue_depth.s" + std::to_string(i)));
-    }
-    ins.breaker_state = &instruments.gauge("bs.ingest.breaker_state");
-    ingest.set_instruments(std::move(ins));
+    ingest.register_instruments(instruments);
     ingest.set_commit_hook([this](sim::NodeId /*reporter*/, sim::NodeId target,
                                   revocation::AlertDisposition disposition,
                                   sim::SimTime /*enqueued_at*/,

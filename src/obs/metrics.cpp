@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <utility>
 
 namespace sld::obs {
 
@@ -75,33 +76,48 @@ double Histogram::percentile(double p) const {
   return max_;
 }
 
+namespace {
+template <typename T, typename List, typename... Args>
+T& find_or_add(List& list, std::unordered_map<std::string, std::size_t>& index,
+               const std::string& name, Args&&... args) {
+  const auto it = index.find(name);
+  if (it != index.end()) return *list[it->second].instrument;
+  index.emplace(name, list.size());
+  list.push_back({name, std::make_unique<T>(std::forward<Args>(args)...)});
+  return *list.back().instrument;
+}
+
+void require_new(const std::unordered_map<std::string, std::size_t>& index,
+                 const std::string& name) {
+  if (index.count(name) != 0)
+    throw std::logic_error("MetricsRegistry: '" + name + "' already exists");
+}
+}  // namespace
+
 Counter& MetricsRegistry::counter(const std::string& name) {
-  const auto it = counter_index_.find(name);
-  if (it != counter_index_.end())
-    return *counters_[it->second].instrument;
-  counter_index_.emplace(name, counters_.size());
-  counters_.push_back({name, std::make_unique<Counter>()});
-  return *counters_.back().instrument;
+  return find_or_add<Counter>(counters_, counter_index_, name);
+}
+
+Counter& MetricsRegistry::counter(const std::string& name,
+                                  Counter::Read read) {
+  require_new(counter_index_, name);
+  return find_or_add<Counter>(counters_, counter_index_, name, std::move(read));
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name) {
-  const auto it = gauge_index_.find(name);
-  if (it != gauge_index_.end()) return *gauges_[it->second].instrument;
-  gauge_index_.emplace(name, gauges_.size());
-  gauges_.push_back({name, std::make_unique<Gauge>()});
-  return *gauges_.back().instrument;
+  return find_or_add<Gauge>(gauges_, gauge_index_, name);
+}
+
+Gauge& MetricsRegistry::gauge(const std::string& name, Gauge::Read read) {
+  require_new(gauge_index_, name);
+  return find_or_add<Gauge>(gauges_, gauge_index_, name, std::move(read));
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name, double lo,
                                       double hi, std::size_t bucket_count,
                                       HistogramScale scale) {
-  const auto it = histogram_index_.find(name);
-  if (it != histogram_index_.end())
-    return *histograms_[it->second].instrument;
-  histogram_index_.emplace(name, histograms_.size());
-  histograms_.push_back(
-      {name, std::make_unique<Histogram>(lo, hi, bucket_count, scale)});
-  return *histograms_.back().instrument;
+  return find_or_add<Histogram>(histograms_, histogram_index_, name, lo, hi,
+                                bucket_count, scale);
 }
 
 namespace {

@@ -12,11 +12,20 @@
 // `MetricsRegistry::snapshot_json()` renders one machine-readable JSON
 // document (registration order, stable field order) that the trial runner
 // attaches to `TrialSummary::metrics_json` and benches dump via --metrics.
+//
+// Every count has one home. A count a subsystem keeps in its own stats
+// struct (ChannelStats, BaseStationStats, IngestStats, ...) is registered
+// as a read-through entry that reads that struct whenever the registry is
+// read: by `snapshot_json()` or by a TimeseriesSampler closing a window.
+// Both run on the trial's thread while every source is alive, because
+// every registry is per trial or per run.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -24,28 +33,38 @@
 
 namespace sld::obs {
 
-/// Monotone event count.
+/// Monotone event count: counted here (`inc`) or read through from its
+/// home. A read-through counter never reports less than it last reported,
+/// even when its home drops (a restored base station rebuilds its stats
+/// from the durable prefix).
 class Counter {
  public:
+  using Read = std::function<std::uint64_t()>;
+  Counter() = default;
+  explicit Counter(Read read) : read_(std::move(read)) {}
   void inc(std::uint64_t n = 1) { value_ += n; }
-  /// Raises the counter to `live` if that is higher; never lowers it. A
-  /// registry mirror of a monotone live statistic syncs through this.
-  void raise_to(std::uint64_t live) {
-    if (live > value_) value_ = live;
+  std::uint64_t value() const {
+    if (read_) value_ = std::max(value_, read_());
+    return value_;
   }
-  std::uint64_t value() const { return value_; }
 
  private:
-  std::uint64_t value_ = 0;
+  Read read_;
+  mutable std::uint64_t value_ = 0;
 };
 
-/// Last-written value (queue depths, phase timings, calibration constants).
+/// Last-written value (queue depths, phase timings, calibration
+/// constants), or a read-through of a live value of its home.
 class Gauge {
  public:
+  using Read = std::function<double()>;
+  Gauge() = default;
+  explicit Gauge(Read read) : read_(std::move(read)) {}
   void set(double v) { value_ = v; }
-  double value() const { return value_; }
+  double value() const { return read_ ? read_() : value_; }
 
  private:
+  Read read_;
   double value_ = 0.0;
 };
 
@@ -104,11 +123,14 @@ class Histogram {
 /// Owns every metric of one trial. Lookups are by name; re-registering an
 /// existing name returns the existing instrument (histogram shape params
 /// are ignored on re-registration), so independent layers can share a
-/// metric without coordination.
+/// metric without coordination. Registering a read-through entry under a
+/// taken name throws std::logic_error: a count has one home.
 class MetricsRegistry {
  public:
   Counter& counter(const std::string& name);
+  Counter& counter(const std::string& name, Counter::Read read);
   Gauge& gauge(const std::string& name);
+  Gauge& gauge(const std::string& name, Gauge::Read read);
   Histogram& histogram(const std::string& name, double lo, double hi,
                        std::size_t bucket_count,
                        HistogramScale scale = HistogramScale::kLinear);

@@ -93,8 +93,8 @@ class TimeseriesSampler {
   std::int64_t cadence_ns() const { return cadence_ns_; }
 
   /// Invoked with the window end time immediately before each snapshot —
-  /// the system's chance to mirror live stats (channel counters, breaker
-  /// state) into the registry. Must not mutate simulation state.
+  /// the system's chance to set gauges whose value depends on that time
+  /// (breaker state, coverage floor). Must not mutate simulation state.
   void set_presample_hook(std::function<void(std::int64_t)> hook) {
     presample_ = std::move(hook);
   }

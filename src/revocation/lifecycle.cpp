@@ -1,5 +1,6 @@
 #include "revocation/lifecycle.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "check/invariant.hpp"
@@ -130,6 +131,13 @@ std::vector<LifecycleTracker::CellCensus> LifecycleTracker::census_all(
     if (usable(id, now)) ++entry->usable;
   }
   return cells;
+}
+
+std::uint32_t LifecycleTracker::min_usable(sim::SimTime now) const {
+  const std::vector<CellCensus> cells = census_all(now);
+  std::uint32_t least = cells.empty() ? 0 : cells.front().usable;
+  for (const CellCensus& c : cells) least = std::min(least, c.usable);
+  return least;
 }
 
 LifecycleOutcome LifecycleTracker::observe(sim::NodeId reporter,

@@ -190,6 +190,8 @@ class LifecycleTracker {
     std::uint32_t usable = 0;
   };
   std::vector<CellCensus> census_all(sim::SimTime now) const;
+  /// Usable-beacon count of the sparsest occupied cell (0 with none).
+  std::uint32_t min_usable(sim::SimTime now) const;
 
   /// Distinct accepted reporters against `beacon` so far.
   std::size_t distinct_reporters(sim::NodeId beacon) const;

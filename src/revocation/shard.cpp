@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "check/invariant.hpp"
@@ -33,6 +34,23 @@ void IngestPipeline::set_instruments(Instruments instruments) {
   if (instruments_.breaker_state != nullptr)
     instruments_.breaker_state->set(
         static_cast<double>(static_cast<int>(last_breaker_)));
+}
+
+void IngestPipeline::register_instruments(obs::MetricsRegistry& reg) {
+  reg.counter("bs.ingest.accepted", [this] { return stats_.accepted; });
+  reg.counter("bs.ingest.shed", [this] { return stats_.shed; });
+  reg.counter("bs.ingest.rate_limited",
+              [this] { return stats_.rate_limited; });
+  reg.counter("bs.ingest.deferred", [this] { return stats_.deferred; });
+  Instruments ins;
+  ins.latency_ms = &reg.histogram("bs.ingest.latency_ms", 0.1, 60'000.0, 32,
+                                  obs::HistogramScale::kLog);
+  for (std::uint32_t i = 0; i < config_.shard.count; ++i) {
+    ins.queue_depth.push_back(
+        &reg.gauge("bs.ingest.queue_depth.s" + std::to_string(i)));
+  }
+  ins.breaker_state = &reg.gauge("bs.ingest.breaker_state");
+  set_instruments(std::move(ins));
 }
 
 std::size_t IngestPipeline::queue_depth() const {
@@ -69,7 +87,6 @@ IngestResult IngestPipeline::submit(sim::SimTime now, sim::NodeId reporter,
       return {IngestResult::Kind::kAbsorbed, AlertDisposition::kAccepted};
     case AdmissionController::Decision::kRateLimited:
       ++stats_.rate_limited;
-      if (instruments_.rate_limited != nullptr) instruments_.rate_limited->inc();
       trace_shed("rate_limited", reporter, target, target % shards_.size());
       return {IngestResult::Kind::kRateLimited, AlertDisposition::kAccepted};
     case AdmissionController::Decision::kAdmit:
@@ -89,7 +106,6 @@ IngestResult IngestPipeline::submit(sim::SimTime now, sim::NodeId reporter,
       // Priority-aware LIFO shed: the newest (unacked) first-sight arrival
       // is the one dropped; its reporter's ARQ retries once load eases.
       ++stats_.shed;
-      if (instruments_.shed != nullptr) instruments_.shed->inc();
       admission_.note_shed(now);
       trace_shed("queue_full", reporter, target, shard_index);
       breaker_step(now);  // the shed may have opened the shedding state
@@ -110,7 +126,6 @@ IngestResult IngestPipeline::submit(sim::SimTime now, sim::NodeId reporter,
   shard.queue.push_back(entry);
   admission_.remember_pair(reporter, target);
   ++stats_.accepted;
-  if (instruments_.accepted != nullptr) instruments_.accepted->inc();
   update_gauges();
   return {IngestResult::Kind::kEnqueued, AlertDisposition::kAccepted};
 }
@@ -267,7 +282,6 @@ void IngestPipeline::commit_one(std::size_t shard_index, sim::SimTime now,
     deferred_.push_back(WalRecord{entry.key, now});
     cluster_.set_snapshot_gate(false);
     ++stats_.deferred;
-    if (instruments_.deferred != nullptr) instruments_.deferred->inc();
   }
   ++stats_.committed;
   if (reconciling) ++stats_.reconciled;

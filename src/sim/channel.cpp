@@ -165,14 +165,12 @@ void Channel::transmit(const TxContext& ctx, const Message& msg) {
   SLD_MEM_SCOPE("channel");
   ++stats_.transmissions;
 
-  // Nodes examined by this transmission's topology scan — the fan-out a
-  // spatial index would collapse. One histogram observation per transmit.
+  // Nodes examined by this transmission's scan: every observer plus the
+  // wormhole mouths tested. Noted exactly once per transmit.
   std::uint64_t scanned = 0;
   const auto note_scan = [&]() {
-    if (hot_ == nullptr) return;
-    if (hot_->scans != nullptr) hot_->scans->inc();
-    if (hot_->scan_nodes != nullptr) hot_->scan_nodes->inc(scanned);
-    if (hot_->scan_fanout != nullptr)
+    stats_.scan_nodes += scanned;
+    if (hot_ != nullptr && hot_->scan_fanout != nullptr)
       hot_->scan_fanout->observe(static_cast<double>(scanned));
   };
 

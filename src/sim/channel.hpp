@@ -94,6 +94,9 @@ struct ChannelStats {
   std::uint64_t crashed_rx_drops = 0;
   /// Deliveries dropped because they crossed an active partition cut.
   std::uint64_t partition_drops = 0;
+  /// Nodes examined across all transmissions: every observer plus the
+  /// wormhole mouths tested (the scan fan-out numerator).
+  std::uint64_t scan_nodes = 0;
 };
 
 /// Per-node radio activity, the basis of energy accounting (tx and rx are

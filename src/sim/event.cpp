@@ -29,7 +29,6 @@ void EventQueue::push(SimTime when, SimTime queued_at, Action action) {
   if (hot_ != nullptr) {
     if (hot_->sift_up != nullptr)
       hot_->sift_up->observe(static_cast<double>(steps));
-    if (hot_->sift_up_steps != nullptr) hot_->sift_up_steps->inc(steps);
     if (hot_->queue_depth != nullptr)
       hot_->queue_depth->observe(static_cast<double>(heap_.size()));
   }
@@ -72,7 +71,6 @@ Event EventQueue::pop() {
   if (hot_ != nullptr) {
     if (hot_->sift_down != nullptr)
       hot_->sift_down->observe(static_cast<double>(steps));
-    if (hot_->sift_down_steps != nullptr) hot_->sift_down_steps->inc(steps);
     if (hot_->event_wait_ns != nullptr)
       hot_->event_wait_ns->observe(
           static_cast<double>(out.when - out.queued_at));

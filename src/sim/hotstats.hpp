@@ -1,17 +1,18 @@
 // Hot-path micro-counter sinks for the simulator (the memstats layer's
 // deterministic half; see obs/memstats.hpp for allocation telemetry).
 //
-// A `HotStats` is a bundle of registry-owned instrument pointers the
-// scheduler's event queue and the channel write into directly as they run:
-// queue depth per push, binary-heap sift distances, nodes scanned per
-// transmission (the eavesdropper/observer fan-out the planned spatial
-// index will collapse), and packet lifetime (schedule -> delivery
-// sim-time). Every field is optional — a default-constructed HotStats (or
-// a null pointer where one is wired) records nothing, so the hot paths
-// pay one branch per site when the `--memstats` instruments are off and
-// runs stay bit-for-bit identical to the seed. All recorded values are
-// deterministic functions of (config, seed): they are part of the exact
-// regression gate, identical at any `--jobs N`.
+// A `HotStats` is a bundle of registry-owned histograms the scheduler's
+// event queue and the channel observe as they run: queue depth per push,
+// binary-heap sift distances, event wait, nodes scanned per transmission
+// (every eavesdropper/observer plus the wormhole mouths tested), and
+// packet lifetime (schedule -> delivery sim-time). The totals behind them
+// live in the event queue and in ChannelStats. Every field is optional — a
+// default-constructed HotStats (or a null pointer where one is wired)
+// records nothing, so the hot paths pay one branch per site when the
+// `--memstats` instruments are off and runs stay bit-for-bit identical to
+// the seed. All recorded values are deterministic functions of (config,
+// seed): they are part of the exact regression gate, identical at any
+// `--jobs N`.
 #pragma once
 
 #include "obs/metrics.hpp"
@@ -33,12 +34,6 @@ struct HotStats {
   /// Sim-time from packet scheduling (the in-flight copy's allocation) to
   /// its delivery callback (the copy's release) (hot.packet_lifetime_ns).
   obs::Histogram* packet_lifetime_ns = nullptr;
-
-  /// Running totals behind the histograms, for exact gating.
-  obs::Counter* sift_up_steps = nullptr;
-  obs::Counter* sift_down_steps = nullptr;
-  obs::Counter* scans = nullptr;
-  obs::Counter* scan_nodes = nullptr;
 };
 
 }  // namespace sld::sim

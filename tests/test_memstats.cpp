@@ -184,6 +184,38 @@ TEST(Memstats, MemstatsOnTrialIsBitForBitIdenticalToOff) {
   EXPECT_GT(on.memhot.sift_down_steps, 0u);
 }
 
+/// The integer right after `"key":` in a metrics_json document.
+std::uint64_t json_uint(const std::string& json, const std::string& key) {
+  const std::size_t at = json.find("\"" + key + "\":");
+  EXPECT_NE(at, std::string::npos) << key;
+  if (at == std::string::npos) return 0;
+  return std::stoull(json.substr(at + key.size() + 3));
+}
+
+TEST(Memstats, HotScansAreTheChannelTransmissions) {
+  // hot.scans reads ChannelStats::transmissions: every transmit notes its
+  // scan exactly once, which the fan-out histogram's sample count checks
+  // independently. hot.scan_nodes reads ChannelStats::scan_nodes.
+  core::SystemConfig c = small_config(17);
+  c.memstats = true;
+  c.telemetry.enabled = true;
+  c.faults.loss_probability = 0.1;
+  core::SecureLocalizationSystem sys(c);
+  const core::TrialSummary s = sys.run();
+  Memstats::set_enabled(false);
+
+  const std::string& json = s.metrics_json;
+  ASSERT_GT(s.channel.transmissions, 0u);
+  EXPECT_EQ(json_uint(json, "hot.scans"), s.channel.transmissions);
+  EXPECT_EQ(json_uint(json, "channel.tx"), s.channel.transmissions);
+  EXPECT_EQ(json_uint(json, "hot.scan_fanout\":{\"count"),
+            s.channel.transmissions);
+  EXPECT_EQ(s.memhot.scans, s.channel.transmissions);
+  EXPECT_GE(s.channel.scan_nodes, s.channel.transmissions);
+  EXPECT_EQ(json_uint(json, "hot.scan_nodes"), s.channel.scan_nodes);
+  EXPECT_EQ(s.memhot.scan_nodes, s.channel.scan_nodes);
+}
+
 // --- the allocation-free message path --------------------------------------
 
 TEST(Memstats, PaperScaleTrialMessagePathIsAllocationFree) {

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <regex>
 #include <stdexcept>
 #include <string>
 
 #include "core/secure_localization.hpp"
 #include "obs/metrics.hpp"
+#include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 
 namespace sld {
@@ -32,19 +34,77 @@ TEST(Metrics, CounterAndGauge) {
   EXPECT_EQ(reg.counter("hits").value(), 6u);
 }
 
-TEST(Metrics, RaiseToNeverLowersACounter) {
-  obs::Counter c;
-  c.raise_to(7);
+TEST(Metrics, ReadThroughEntriesReportTheirSource) {
+  // A read-through counter or gauge reads its home whenever the registry
+  // is read: in snapshot_json() and in every window a sampler closes.
+  std::uint64_t home = 4;
+  double depth = 1.5;
+  obs::MetricsRegistry reg;
+  reg.counter("plain").inc(2);
+  reg.counter("home.count", [&home] { return home; });
+  reg.gauge("home.depth", [&depth] { return depth; });
+  EXPECT_NE(reg.snapshot_json().find(
+                "\"counters\":{\"plain\":2,\"home.count\":4}"),
+            std::string::npos);
+  EXPECT_NE(reg.snapshot_json().find("\"gauges\":{\"home.depth\":1.5}"),
+            std::string::npos);
+
+  obs::TimeseriesOptions o;
+  o.enabled = true;
+  o.cadence_ns = 100;
+  obs::TimeseriesSampler ts(reg, o);
+  ts.begin(0, 1);
+  home = 10;
+  depth = 3.0;
+  ts.advance_to(100);
+  home = 11;
+  ts.advance_to(200);
+  ASSERT_EQ(ts.ring().size(), 2u);
+  EXPECT_EQ(*ts.ring()[0].counter("home.count"), 10u);
+  EXPECT_EQ(*ts.ring()[0].delta("home.count"), 6u);  // from the begin read
+  EXPECT_DOUBLE_EQ(*ts.ring()[0].gauge("home.depth"), 3.0);
+  EXPECT_EQ(*ts.ring()[1].counter("home.count"), 11u);
+  EXPECT_EQ(*ts.ring()[1].delta("home.count"), 1u);
+  EXPECT_NE(reg.snapshot_json().find("\"home.count\":11"), std::string::npos);
+}
+
+TEST(Metrics, ReadThroughCounterNeverReportsLessThanItLastReported) {
+  // A base station restored from its durable prefix can report fewer
+  // alerts than before its crash; the counter must not go backwards, in
+  // the snapshot or in a window's cumulative value and delta.
+  std::uint64_t home = 7;
+  obs::MetricsRegistry reg;
+  const obs::Counter& c = reg.counter("home", [&home] { return home; });
+  obs::TimeseriesOptions o;
+  o.enabled = true;
+  o.cadence_ns = 100;
+  obs::TimeseriesSampler ts(reg, o);
+  ts.begin(0, 1);
   EXPECT_EQ(c.value(), 7u);
-  c.raise_to(3);
+  home = 3;  // the home drops
   EXPECT_EQ(c.value(), 7u);
-  c.raise_to(7);
-  EXPECT_EQ(c.value(), 7u);
-  c.inc(2);
-  c.raise_to(0);
+  EXPECT_NE(reg.snapshot_json().find("\"home\":7"), std::string::npos);
+  ts.advance_to(100);
+  EXPECT_EQ(*ts.ring()[0].counter("home"), 7u);
+  EXPECT_EQ(*ts.ring()[0].delta("home"), 0u);
+  home = 9;  // and climbs past its old high
+  ts.advance_to(200);
+  EXPECT_EQ(*ts.ring()[1].counter("home"), 9u);
+  EXPECT_EQ(*ts.ring()[1].delta("home"), 2u);
   EXPECT_EQ(c.value(), 9u);
-  c.raise_to(12);
-  EXPECT_EQ(c.value(), 12u);
+}
+
+TEST(Metrics, ReadThroughEntryHasOneHome) {
+  obs::MetricsRegistry reg;
+  reg.counter("taken");
+  reg.gauge("taken");
+  EXPECT_THROW(reg.counter("taken", [] { return std::uint64_t{1}; }),
+               std::logic_error);
+  EXPECT_THROW(reg.gauge("taken", [] { return 1.0; }), std::logic_error);
+  reg.counter("fresh", [] { return std::uint64_t{1}; });
+  EXPECT_THROW(reg.counter("fresh", [] { return std::uint64_t{2}; }),
+               std::logic_error);
+  EXPECT_EQ(reg.counter("fresh").value(), 1u);  // plain lookup still works
 }
 
 TEST(Metrics, HistogramBasics) {
