@@ -1,6 +1,7 @@
 #include "obs/memstats.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
@@ -165,7 +166,6 @@ void record_alloc(void* p, std::size_t size) {
   s.alloc_bytes += size;
   s.live_bytes += static_cast<std::int64_t>(size);
   if (s.live_bytes > s.peak_live_bytes) s.peak_live_bytes = s.live_bytes;
-  s.size_class[mem_size_class(size)] += 1;
   table().insert(p, size, tag);
   tl_in_hook = false;
 }
@@ -236,8 +236,6 @@ void MemScopeStats::merge(const MemScopeStats& other) {
   freed_bytes += other.freed_bytes;
   live_bytes += other.live_bytes;
   peak_live_bytes += other.peak_live_bytes;
-  for (std::size_t i = 0; i < kMemSizeClasses; ++i)
-    size_class[i] += other.size_class[i];
 }
 
 void MemHotTotals::merge(const MemHotTotals& other) {
@@ -255,16 +253,6 @@ void MemHotTotals::merge(const MemHotTotals& other) {
   scan_nodes += other.scan_nodes;
   packet_lifetime_p99_ns =
       std::max(packet_lifetime_p99_ns, other.packet_lifetime_p99_ns);
-}
-
-std::size_t mem_size_class(std::size_t size) {
-  std::size_t cls = 0;
-  std::size_t bound = 16;
-  while (size > bound && cls + 1 < kMemSizeClasses) {
-    bound <<= 1;
-    cls += 1;
-  }
-  return cls;
 }
 
 std::uint64_t current_rss_kb() {
@@ -313,39 +301,6 @@ std::vector<MemScopeSnapshot> Memstats::snapshot() {
   return out;
 }
 
-std::string Memstats::snapshot_json() {
-  const auto scopes = snapshot();
-  std::string out;
-  out.reserve(512);
-  out += "{\"schema\":\"sld-memstats/v1\",\"scopes\":[";
-  for (std::size_t i = 0; i < scopes.size(); ++i) {
-    const auto& scope = scopes[i];
-    if (i) out += ',';
-    out += "{\"name\":\"";
-    out += scope.name;  // tags are literals: no escaping needed
-    out += "\",\"allocs\":";
-    out += std::to_string(scope.stats.allocs);
-    out += ",\"frees\":";
-    out += std::to_string(scope.stats.frees);
-    out += ",\"alloc_bytes\":";
-    out += std::to_string(scope.stats.alloc_bytes);
-    out += ",\"freed_bytes\":";
-    out += std::to_string(scope.stats.freed_bytes);
-    out += ",\"live_bytes\":";
-    out += std::to_string(scope.stats.live_bytes);
-    out += ",\"peak_live_bytes\":";
-    out += std::to_string(scope.stats.peak_live_bytes);
-    out += ",\"size_class\":[";
-    for (std::size_t c = 0; c < kMemSizeClasses; ++c) {
-      if (c) out += ',';
-      out += std::to_string(scope.stats.size_class[c]);
-    }
-    out += "]}";
-  }
-  out += "]}";
-  return out;
-}
-
 std::string Memstats::format_table() {
   const auto scopes = snapshot();
   std::string out = "# memstats: per-scope allocation totals\n";
@@ -367,13 +322,6 @@ std::string Memstats::format_table() {
   }
   if (scopes.empty()) out += "# (no scoped allocations recorded)\n";
   return out;
-}
-
-void Memstats::reset() {
-  Registry& reg = registry();
-  const std::lock_guard<std::mutex> lock(reg.mutex);
-  for (auto& thread : reg.threads) thread->rows.clear();
-  reg.retired.clear();
 }
 
 const char* Memstats::push_scope(const char* tag) {

@@ -13,7 +13,7 @@
 // bit-for-bit identical to the seed (tests/test_memstats.cpp asserts this).
 //
 // What is counted, per scope tag: allocations, frees, bytes allocated and
-// freed, live/peak live bytes, and a 16-class power-of-two size histogram.
+// freed, and live/peak live bytes.
 // Only allocations made inside an `SLD_MEM_SCOPE` are attributed — harness
 // and library allocations outside any scope pass through unrecorded, which
 // is what makes the per-scope counts invariant across `--jobs N`: every
@@ -31,23 +31,17 @@
 // exits, so `snapshot()` survives WorkStealingPool worker churn.
 //
 // Thread-safety contract: recording touches only the calling thread's
-// stats plus one pointer-table shard lock. `set_enabled` / `reset` /
-// `snapshot` must only be called while no instrumented code is running
-// (between trials / runs). Scope tags must be string literals.
+// stats plus one pointer-table shard lock. `set_enabled` / `snapshot`
+// must only be called while no instrumented code is running (between
+// trials / runs). Scope tags must be string literals.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 namespace sld::obs {
-
-/// Number of power-of-two size classes tracked per scope: class 0 is
-/// sizes <= 16 bytes, class i is sizes <= 16 << i, the last class is
-/// everything larger (>= 512 KiB).
-inline constexpr std::size_t kMemSizeClasses = 16;
 
 /// Aggregated allocation statistics for one scope tag (one thread's view,
 /// or the cross-thread merge).
@@ -64,7 +58,6 @@ struct MemScopeStats {
   /// `reset_thread_peaks`). Merged across threads by summing — an upper
   /// bound, not an exact global peak; excluded from exact gates.
   std::int64_t peak_live_bytes = 0;
-  std::array<std::uint64_t, kMemSizeClasses> size_class{};
 
   void merge(const MemScopeStats& other);
 };
@@ -136,20 +129,8 @@ class Memstats {
   /// scope name.
   static std::vector<MemScopeSnapshot> snapshot();
 
-  /// The snapshot as one JSON document:
-  ///   {"schema":"sld-memstats/v1","scopes":[{"name":..,"allocs":..,
-  ///    "frees":..,"alloc_bytes":..,"freed_bytes":..,"live_bytes":..,
-  ///    "peak_live_bytes":..,"size_class":[..16..]},..]}
-  static std::string snapshot_json();
-
-  /// Flat per-scope table with size-class sparklines, for humans.
+  /// Flat per-scope table, for humans.
   static std::string format_table();
-
-  /// Zeroes every thread's stats and the retired accumulator. Pointer-
-  /// table entries survive (their future frees just find no live scope
-  /// row to debit, which is the correct post-reset accounting). Only call
-  /// while no instrumented code is running.
-  static void reset();
 
   // --- internals used by MemScope and the allocation hooks -------------
 
@@ -162,10 +143,6 @@ class Memstats {
   static std::atomic<bool> enabled_;
   static std::atomic<bool> ever_enabled_;
 };
-
-/// Size class of an allocation: 0 for <=16 bytes, doubling per class,
-/// kMemSizeClasses-1 for everything >= 512 KiB.
-std::size_t mem_size_class(std::size_t size);
 
 /// Current peak resident set size of the process in KiB (getrusage
 /// ru_maxrss). A host measurement — monotone within a run but NOT a

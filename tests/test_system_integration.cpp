@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/experiment.hpp"
+#include "obs/slo.hpp"
 
 namespace sld::core {
 namespace {
@@ -86,6 +89,26 @@ TEST(SystemIntegration, RunTwiceRejected) {
   SecureLocalizationSystem system(small_config());
   system.run();
   EXPECT_THROW(system.run(), std::logic_error);
+}
+
+TEST(SystemConfigValidation, SloRulesWithoutTelemetryAreRejected) {
+  // The monitors are only fed by telemetry windows: without them the rules
+  // would never be evaluated.
+  SystemConfig c = small_config();
+  c.slo_rules = obs::parse_slo_spec("tx rate(channel.tx) >= 0");
+  EXPECT_THROW(SecureLocalizationSystem{c}, std::invalid_argument);
+  c.telemetry.enabled = true;
+  EXPECT_NO_THROW(SecureLocalizationSystem{c});
+}
+
+TEST(SystemConfigValidation, StormFloodWithoutCollusionIsRejected) {
+  // The flood reuses the colluder set, so without collusion nothing would
+  // be scheduled.
+  SystemConfig c = small_config();
+  c.storm.flood_alerts_per_colluder = 10;
+  EXPECT_THROW(SecureLocalizationSystem{c}, std::invalid_argument);
+  c.collusion = true;
+  EXPECT_NO_THROW(SecureLocalizationSystem{c});
 }
 
 TEST(SystemIntegration, WormholeAloneCausesNoRevocations) {

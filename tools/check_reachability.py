@@ -10,8 +10,7 @@ edges; a name resolves against the including file's directory first,
 then src/. Reaching a header also reaches its same-named .cpp, whose
 includes are followed in turn. Tests are not roots: a module that only
 its own unit tests include is code no trial runs. The gate names every
-src/ header the walk never reaches and is not in KEPT, and every KEPT
-entry that is reached or gone, and exits 1; it exits 0 when there is
+src/ header the walk never reaches and exits 1; it exits 0 when there is
 none. Stdlib only.
 """
 
@@ -22,16 +21,6 @@ import sys
 
 ROOT_DIRS = ("bench", "examples", "perfbench")
 INCLUDE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.MULTILINE)
-
-# Headers that only unit tests reach and that are still in the tree; they
-# are the next to delete (ROADMAP). The list only shrinks: an entry must be
-# unreached and present, so one a program starts to include, or one that
-# is deleted, has to leave the list as well.
-KEPT = frozenset({
-    "crypto/cipher.hpp",
-    "crypto/key_pool.hpp",
-    "crypto/polynomial_pool.hpp",
-})
 
 
 def resolve(name, including, src):
@@ -76,24 +65,15 @@ def main():
     argparse.ArgumentParser(description=__doc__).parse_args()
     repo = pathlib.Path(__file__).parent.parent
     unreached = unreached_headers(repo)
-    failed = False
     for header in unreached:
-        if header not in KEPT:
-            print(f"UNREACHED: src/{header}", file=sys.stderr)
-            failed = True
-    for header in sorted(KEPT):
-        if header not in unreached:
-            state = "reached" if (repo / "src" / header).is_file() else "gone"
-            print(f"STALE KEPT ENTRY ({state}): src/{header}",
-                  file=sys.stderr)
-            failed = True
-    if failed:
+        print(f"UNREACHED: src/{header}", file=sys.stderr)
+    if unreached:
         print("src/ headers must be reached from a bench, example or "
-              "perfbench program: delete them or run them from one, and "
-              "keep KEPT to the unreached headers", file=sys.stderr)
+              "perfbench program: delete them or run them from one",
+              file=sys.stderr)
         return 1
-    print(f"OK: every src/ header is reached from bench/, examples/ or "
-          f"perfbench/, apart from the {len(KEPT)} kept test-only ones")
+    print("OK: every src/ header is reached from bench/, examples/ or "
+          "perfbench/")
     return 0
 
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Mutation smoke test: applies 16 curated single-line mutants to the
-# detection/revocation/sim/crypto/core sources and verifies the test suite kills every
+# Mutation smoke test: applies 17 curated single-line mutants to the
+# detection/revocation/sim/crypto/core/obs sources and verifies the test suite kills every
 # one (at least one registered test fails per mutant). A mutant that
 # survives means a guard has no test teeth — the script fails loudly. It
 # edits the sources of the checkout it runs from (restoring each file
@@ -131,6 +131,12 @@ add_mutant "detector-swallow-alert" \
   "outcome = ProbeOutcome::kAlert;" \
   "outcome = ProbeOutcome::kConsistent;" \
   "test_invariants"
+
+add_mutant "readthrough-no-latch" \
+  "src/obs/metrics.hpp" \
+  "    if (read_) value_ = std::max(value_, read_());" \
+  "    if (read_) value_ = read_();" \
+  "test_obs"
 
 # --- helpers --------------------------------------------------------------
 
