@@ -25,13 +25,11 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/slo.hpp"
-#include "obs/trace.hpp"
 
 namespace sld::bench {
 
@@ -211,21 +209,6 @@ struct BenchArgs {
   }
 };
 
-/// Opens the JSONL sink a file flag names, or returns nullptr when the
-/// path is empty; exits(2) when the file cannot be opened. Wire the raw
-/// pointer into SystemConfig::trace_sink (or a Tracer); the unique_ptr
-/// must outlive every trial that uses it.
-inline std::unique_ptr<sld::obs::JsonlSink> open_jsonl_sink(
-    const char* flag, const std::string& path) {
-  if (path.empty()) return nullptr;
-  try {
-    return std::make_unique<sld::obs::JsonlSink>(path);
-  } catch (const std::exception& e) {
-    std::cerr << flag << ": " << e.what() << "\n";
-    std::exit(2);
-  }
-}
-
 /// The telemetry flags of the benches that drive their own alert timeline
 /// (ext_alert_storm, ext_framing_dos). Offer every flag to consume() from
 /// the bench's ExtraFlagFn, and append help() to its help text.
@@ -268,14 +251,6 @@ struct StreamFlags {
     text += "\n  --rss          sample peak RSS into the telemetry stream "
             "(mem.rss_kb gauge)\n";
     return text;
-  }
-
-  std::unique_ptr<sld::obs::JsonlSink> open_trace_sink() const {
-    return open_jsonl_sink("--trace", trace_path);
-  }
-
-  std::unique_ptr<sld::obs::JsonlSink> open_timeseries_sink() const {
-    return open_jsonl_sink("--timeseries", timeseries_path);
   }
 
   /// Parses --slo (reading "@file" specs from disk). Returns `fallback`'s

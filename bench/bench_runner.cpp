@@ -8,9 +8,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <ctime>
+#include <exception>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <ostream>
 #include <streambuf>
 #include <string>
@@ -210,6 +213,18 @@ void BenchIteration::add_experiment(const core::AggregateSummary& agg,
   packets_ += agg.total_packets;
   trials_ += trials;
   memhot_.merge(agg.memhot);
+}
+
+std::unique_ptr<obs::JsonlSink> BenchIteration::open_jsonl_sink(
+    const char* flag, const std::string& path) const {
+  if (path.empty()) return nullptr;
+  if (!report_) return std::make_unique<obs::JsonlSink>(*out_);
+  try {
+    return std::make_unique<obs::JsonlSink>(path);
+  } catch (const std::exception& e) {
+    std::cerr << flag << ": " << e.what() << "\n";
+    std::exit(2);
+  }
 }
 
 void BenchIteration::add_trial(const core::TrialSummary& summary) {

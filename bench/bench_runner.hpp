@@ -21,11 +21,14 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <memory>
+#include <string>
 
 #include "bench_common.hpp"
 #include "core/experiment.hpp"
 #include "core/secure_localization.hpp"
 #include "obs/memstats.hpp"
+#include "obs/trace.hpp"
 
 namespace sld::bench {
 
@@ -42,6 +45,16 @@ class BenchIteration {
   /// True exactly once per bench invocation (the last measured repeat);
   /// guard side effects like --metrics files with this.
   bool report() const { return report_; }
+
+  /// The JSONL sink a file flag such as --trace names, or nullptr when
+  /// `path` is empty; exits 2 when the file cannot be opened. Only the
+  /// reporting repetition writes the file. Warm-ups and the other repeats
+  /// format every record into out()'s discarding stream, so every repeat
+  /// of a --repeats median does the same work. Wire the raw pointer into
+  /// SystemConfig::trace_sink (or a Tracer); the unique_ptr must outlive
+  /// every trial that uses it.
+  std::unique_ptr<obs::JsonlSink> open_jsonl_sink(
+      const char* flag, const std::string& path) const;
 
   // --- throughput accounting for the JSON result --------------------------
   void add_events(std::uint64_t n) { sim_events_ += n; }

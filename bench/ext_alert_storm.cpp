@@ -252,9 +252,11 @@ void run_storm(const StormKnobs& knobs, const bench::BenchArgs& args,
   reg.counter("bs.ingest.committed",
               [&pipeline] { return pipeline.stats().committed; });
 
-  // Trace/telemetry sinks only on the reported repeat, as in sweep mode.
-  const auto trace_sink = it.report() ? streams.open_trace_sink() : nullptr;
-  const auto ts_sink = it.report() ? streams.open_timeseries_sink() : nullptr;
+  // Only the reporting repeat writes the trace/telemetry files, as in
+  // sweep mode.
+  const auto trace_sink = it.open_jsonl_sink("--trace", streams.trace_path);
+  const auto ts_sink =
+      it.open_jsonl_sink("--timeseries", streams.timeseries_path);
 
   sim::SimTime sim_now = 0;
   obs::Tracer tracer(trace_sink.get(), [&sim_now] {
@@ -476,9 +478,9 @@ int main(int argc, char** argv) {
 
   return bench::run_main("ext_alert_storm", args, [&](bench::BenchIteration&
                                                           it) {
-    // Trace only the reported iteration: warmup/measurement repeats would
-    // otherwise duplicate every event in the sink.
-    const auto trace_sink = it.report() ? streams.open_trace_sink() : nullptr;
+    // Only the reporting repeat writes the trace file: the other repeats
+    // would otherwise duplicate every event in it.
+    const auto trace_sink = it.open_jsonl_sink("--trace", streams.trace_path);
     const std::size_t honest = args.fast ? 30 : 40;
     const std::size_t malicious = args.fast ? 4 : 6;
     const std::size_t benign = args.fast ? 20 : 30;

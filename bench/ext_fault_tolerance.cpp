@@ -137,11 +137,9 @@ int main(int argc, char** argv) {
 
   return sld::bench::run_main("ext_fault_tolerance", args,
                               [&](sld::bench::BenchIteration& it) {
-  // Trace and metrics side effects belong to the reporting repetition
-  // only (every repetition runs identical deterministic work).
-  const auto trace_sink =
-      it.report() ? sld::bench::open_jsonl_sink("--trace", trace_path)
-                  : nullptr;
+  // Only the reporting repetition writes the trace and metrics files
+  // (every repetition runs identical deterministic work).
+  const auto trace_sink = it.open_jsonl_sink("--trace", trace_path);
   std::ofstream metrics_out;
   if (it.report() && !metrics_path.empty()) {
     metrics_out.open(metrics_path);

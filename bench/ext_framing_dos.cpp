@@ -202,8 +202,9 @@ void run_framing(const FramingKnobs& knobs, const bench::BenchArgs& args,
   reg.gauge("bs.cluster.in_service",
             [&cluster] { return cluster.in_service() ? 1.0 : 0.0; });
 
-  const auto trace_sink = it.report() ? streams.open_trace_sink() : nullptr;
-  const auto ts_sink = it.report() ? streams.open_timeseries_sink() : nullptr;
+  const auto trace_sink = it.open_jsonl_sink("--trace", streams.trace_path);
+  const auto ts_sink =
+      it.open_jsonl_sink("--timeseries", streams.timeseries_path);
 
   sim::SimTime sim_now = 0;
   obs::Tracer tracer(trace_sink.get(), [&sim_now] {
@@ -385,9 +386,9 @@ int main(int argc, char** argv) {
 
   return bench::run_main("ext_framing_dos", args, [&](bench::BenchIteration&
                                                           it) {
-    // Trace only the reported iteration: warmup/measurement repeats would
-    // otherwise duplicate every event in the sink.
-    const auto trace_sink = it.report() ? streams.open_trace_sink() : nullptr;
+    // Only the reporting repeat writes the trace file: the other repeats
+    // would otherwise duplicate every event in it.
+    const auto trace_sink = it.open_jsonl_sink("--trace", streams.trace_path);
     const std::vector<std::uint32_t> wave_sweep =
         args.fast ? std::vector<std::uint32_t>{0, 2, 4}
                   : std::vector<std::uint32_t>{0, 1, 2, 4, 6};

@@ -9,6 +9,7 @@
 #include "bench_runner.hpp"
 #include "ranging/rtt.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -20,28 +21,29 @@ int main(int argc, char** argv) {
         std::ostream& out = it.out();
         sld::ranging::MoteTimingModel model;
         sld::util::Rng rng(args.seed);
-        const auto cal =
-            sld::ranging::calibrate_rtt(model, samples, 150.0, rng);
+        const sld::util::EmpiricalCdf cdf(
+            sld::ranging::sample_calibration_rtts(model, samples, 150.0, rng));
+        const double x_min = cdf.x_min();
+        const double x_max = cdf.x_max();
         it.add_events(samples);
 
         sld::util::Table table({"rtt_cycles", "cumulative_distribution"});
-        const double lo = cal.x_min_cycles - 100.0;
-        const double hi = cal.x_max_cycles + 100.0;
+        const double lo = x_min - 100.0;
+        const double hi = x_max + 100.0;
         constexpr int kPoints = 60;
         for (int i = 0; i <= kPoints; ++i) {
           const double x = lo + (hi - lo) * i / kPoints;
-          table.row().cell(x).cell(cal.cdf.at(x));
+          table.row().cell(x).cell(cdf.at(x));
         }
         table.print_csv(
             out, "Figure 4: cumulative distribution of RTT (no attack), " +
                      std::to_string(samples) + " measurements");
 
         out << "\n# summary\n"
-            << "x_min_cycles," << cal.x_min_cycles << "\n"
-            << "x_max_cycles," << cal.x_max_cycles << "\n"
-            << "span_cycles," << cal.x_max_cycles - cal.x_min_cycles << "\n"
-            << "span_bits,"
-            << (cal.x_max_cycles - cal.x_min_cycles) / 384.0 << "\n"
+            << "x_min_cycles," << x_min << "\n"
+            << "x_max_cycles," << x_max << "\n"
+            << "span_cycles," << x_max - x_min << "\n"
+            << "span_bits," << (x_max - x_min) / 384.0 << "\n"
             << "# paper: span ~ 4.5 bit-times; one bit = 384 CPU cycles\n";
       });
 }

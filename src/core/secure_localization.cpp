@@ -6,6 +6,7 @@
 
 #include "attack/collusion.hpp"
 #include "attack/wormhole.hpp"
+#include "check/invariant.hpp"
 #include "util/stats.hpp"
 
 namespace sld::core {
@@ -123,6 +124,10 @@ void SecureLocalizationSystem::build_nodes() {
 
   util::Rng id_rng = ctx_->rng.fork(0x1d5);
   for (const auto& spec : deployment_.nodes) {
+    SLD_INVARIANT(sim::is_beacon_id(spec.id) == spec.beacon,
+                  "deployed node " << spec.id << " is a "
+                                   << (spec.beacon ? "beacon" : "sensor")
+                                   << " with the other kind's ID");
     if (spec.beacon) {
       ctx_->truth[spec.id] = BeaconTruth{spec.position, spec.malicious};
       if (spec.malicious) {
@@ -148,23 +153,19 @@ void SecureLocalizationSystem::build_nodes() {
 
   // Connectivity-driven target lists: detecting beacons probe every beacon
   // they can reach (directly or through a wormhole — the wormhole is how
-  // they would have heard of it); sensors query the same set.
-  for (auto* beacon : benign_nodes_) {
+  // they would have heard of it); sensors query the same set. Every node
+  // on the network is a deployed one, whose ID range tells a beacon from a
+  // sensor (checked above).
+  const auto beacons_reached_by = [this](sim::NodeId id) {
     std::vector<sim::NodeId> targets;
-    for (const auto id : network_.connected_nodes(beacon->id())) {
-      const sim::Node* other = network_.node(id);
-      if (other != nullptr && other->is_beacon()) targets.push_back(id);
-    }
-    beacon->set_probe_targets(std::move(targets));
-  }
-  for (auto* sensor : sensor_nodes_) {
-    std::vector<sim::NodeId> targets;
-    for (const auto id : network_.connected_nodes(sensor->id())) {
-      const sim::Node* other = network_.node(id);
-      if (other != nullptr && other->is_beacon()) targets.push_back(id);
-    }
-    sensor->set_query_targets(std::move(targets));
-  }
+    for (const sim::NodeId other : network_.connected_nodes(id))
+      if (sim::is_beacon_id(other)) targets.push_back(other);
+    return targets;
+  };
+  for (auto* beacon : benign_nodes_)
+    beacon->set_probe_targets(beacons_reached_by(beacon->id()));
+  for (auto* sensor : sensor_nodes_)
+    sensor->set_query_targets(beacons_reached_by(sensor->id()));
 }
 
 void SecureLocalizationSystem::schedule_collusion() {

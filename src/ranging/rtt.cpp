@@ -1,7 +1,7 @@
 #include "ranging/rtt.hpp"
 
+#include <algorithm>
 #include <stdexcept>
-#include <vector>
 
 namespace sld::ranging {
 
@@ -56,23 +56,47 @@ RttExchange sample_rtt_exchange(const MoteTimingModel& model,
   return x;
 }
 
-RttCalibration calibrate_rtt(const MoteTimingModel& model,
-                             std::size_t samples, double max_distance_ft,
-                             util::Rng& rng) {
+namespace {
+void check_calibration(std::size_t samples, double max_distance_ft) {
   if (samples == 0)
     throw std::invalid_argument("calibrate_rtt: need at least one sample");
   if (max_distance_ft < 0.0)
     throw std::invalid_argument("calibrate_rtt: negative distance");
+}
+
+/// One exchange of the calibration experiment: a uniform distance, then an
+/// honest RTT at it.
+double calibration_rtt(const MoteTimingModel& model, double max_distance_ft,
+                       util::Rng& rng) {
+  const double d = rng.uniform(0.0, max_distance_ft);
+  return model.sample_rtt_cycles(d, rng);
+}
+}  // namespace
+
+std::vector<double> sample_calibration_rtts(const MoteTimingModel& model,
+                                            std::size_t samples,
+                                            double max_distance_ft,
+                                            util::Rng& rng) {
+  check_calibration(samples, max_distance_ft);
   std::vector<double> observed;
   observed.reserve(samples);
-  for (std::size_t i = 0; i < samples; ++i) {
-    const double d = rng.uniform(0.0, max_distance_ft);
-    observed.push_back(model.sample_rtt_cycles(d, rng));
-  }
+  for (std::size_t i = 0; i < samples; ++i)
+    observed.push_back(calibration_rtt(model, max_distance_ft, rng));
+  return observed;
+}
+
+RttCalibration calibrate_rtt(const MoteTimingModel& model,
+                             std::size_t samples, double max_distance_ft,
+                             util::Rng& rng) {
+  check_calibration(samples, max_distance_ft);
   RttCalibration cal;
-  cal.cdf = util::EmpiricalCdf(std::move(observed));
-  cal.x_min_cycles = cal.cdf.x_min();
-  cal.x_max_cycles = cal.cdf.x_max();
+  cal.x_min_cycles = cal.x_max_cycles =
+      calibration_rtt(model, max_distance_ft, rng);
+  for (std::size_t i = 1; i < samples; ++i) {
+    const double rtt = calibration_rtt(model, max_distance_ft, rng);
+    cal.x_min_cycles = std::min(cal.x_min_cycles, rtt);
+    cal.x_max_cycles = std::max(cal.x_max_cycles, rtt);
+  }
   return cal;
 }
 

@@ -14,16 +14,16 @@
 //
 // MoteTimingModel reproduces that decomposition with per-edge base delays
 // plus bounded jitter, calibrated so the no-attack span is 4.5 bit-times.
-// RttCalibration runs the paper's 10,000-measurement experiment and
-// extracts x_min / x_max; LocalReplayFilter (in sld::detection) compares
+// calibrate_rtt runs the paper's 10,000-measurement experiment and keeps
+// its x_min / x_max; LocalReplayFilter (in sld::detection) compares
 // observed RTTs against x_max.
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "sim/time.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 
 namespace sld::ranging {
 
@@ -82,14 +82,23 @@ RttExchange sample_rtt_exchange(const MoteTimingModel& model,
                                 double distance_ft, double mac_delay_cycles,
                                 util::Rng& rng);
 
-/// The no-attack RTT experiment: `samples` request/reply exchanges between
-/// neighbour motes at uniformly random in-range distances.
+/// The no-attack RTT experiment: the RTTs of `samples` request/reply
+/// exchanges between neighbour motes at uniformly random distances up to
+/// `max_distance_ft`, in draw order. Figure 4 is their empirical CDF.
+/// Throws std::invalid_argument for zero samples or a negative distance.
+std::vector<double> sample_calibration_rtts(const MoteTimingModel& model,
+                                            std::size_t samples,
+                                            double max_distance_ft,
+                                            util::Rng& rng);
+
+/// The bounds of the no-attack RTT distribution the detector keeps.
 struct RttCalibration {
-  util::EmpiricalCdf cdf;
-  double x_min_cycles = 0.0;  // max x with F(x) = 0
-  double x_max_cycles = 0.0;  // min x with F(x) = 1
+  double x_min_cycles = 0.0;  // max x with F(x) = 0: the smallest sample
+  double x_max_cycles = 0.0;  // min x with F(x) = 1: the largest sample
 };
 
+/// The bounds of the samples sample_calibration_rtts draws from the same
+/// `rng` state, taken while drawing: nothing is stored or sorted.
 RttCalibration calibrate_rtt(const MoteTimingModel& model,
                              std::size_t samples, double max_distance_ft,
                              util::Rng& rng);

@@ -28,14 +28,16 @@ Node* Network::node(NodeId id) const {
   return it == index_of_.end() ? nullptr : order_[it->second];
 }
 
-const std::vector<NodeId>& Network::connected_nodes(NodeId id) const {
+std::span<const NodeId> Network::connected_nodes(NodeId id) const {
   const auto it = index_of_.find(id);
   if (it == index_of_.end())
     throw std::invalid_argument("Network::connected_nodes: unknown node");
   if (table_nodes_ != order_.size() ||
       table_wormholes_ != channel_.wormholes().size())
     build_neighbor_table();
-  return neighbors_[it->second];
+  const std::size_t first = neighbor_start_[it->second];
+  return std::span<const NodeId>(neighbor_ids_)
+      .subspan(first, neighbor_start_[it->second + 1] - first);
 }
 
 namespace {
@@ -53,20 +55,28 @@ std::size_t cell_index(double v, double lo, double side, std::size_t cells) {
 void Network::build_neighbor_table() const {
   const std::size_t n = order_.size();
   const std::vector<WormholeLink>& wormholes = channel_.wormholes();
-  neighbors_.assign(n, {});
+  neighbor_start_.assign(n + 1, 0);
+  neighbor_ids_.clear();
   table_nodes_ = n;
   table_wormholes_ = wormholes.size();
   if (n == 0) return;
 
+  // Positions and squared ranges by registration index, so the passes
+  // below read flat arrays rather than a Node per candidate.
+  std::vector<util::Vec2> pos(n);
+  std::vector<double> range2(n);
   double max_range = 0.0;
   double lo_x = std::numeric_limits<double>::infinity(), lo_y = lo_x;
   double hi_x = -lo_x, hi_y = -lo_x;
-  for (const Node* node : order_) {
-    max_range = std::max(max_range, node->range());
-    lo_x = std::min(lo_x, node->position().x);
-    lo_y = std::min(lo_y, node->position().y);
-    hi_x = std::max(hi_x, node->position().x);
-    hi_y = std::max(hi_y, node->position().y);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Node& node = *order_[i];
+    pos[i] = node.position();
+    range2[i] = node.range() * node.range();
+    max_range = std::max(max_range, node.range());
+    lo_x = std::min(lo_x, pos[i].x);
+    lo_y = std::min(lo_y, pos[i].y);
+    hi_x = std::max(hi_x, pos[i].x);
+    hi_y = std::max(hi_y, pos[i].y);
   }
 
   // Uniform grid with cells at least as wide as the largest range, so every
@@ -93,16 +103,23 @@ void Network::build_neighbor_table() const {
   std::vector<std::size_t> cell_of(n);
   std::vector<std::size_t> cell_start(nx * ny + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    const util::Vec2& p = order_[i]->position();
-    cell_of[i] = cell_index(p.y, lo_y, side, ny) * nx +
-                 cell_index(p.x, lo_x, side, nx);
+    cell_of[i] = cell_index(pos[i].y, lo_y, side, ny) * nx +
+                 cell_index(pos[i].x, lo_x, side, nx);
     ++cell_start[cell_of[i] + 1];
   }
   for (std::size_t c = 0; c < nx * ny; ++c) cell_start[c + 1] += cell_start[c];
-  std::vector<std::size_t> members(n);
+  // The nodes in cell order, so a run of adjacent cells is one contiguous
+  // stretch of candidates.
+  struct Candidate {
+    util::Vec2 pos;
+    double range2;
+    std::size_t index;
+  };
+  std::vector<Candidate> by_cell(n);
   {
     std::vector<std::size_t> next(cell_start.begin(), cell_start.end() - 1);
-    for (std::size_t i = 0; i < n; ++i) members[next[cell_of[i]]++] = i;
+    for (std::size_t i = 0; i < n; ++i)
+      by_cell[next[cell_of[i]]++] = {pos[i], range2[i], i};
   }
 
   // Senders within their own range of each mouth: reach[2w] at mouth_a,
@@ -111,47 +128,85 @@ void Network::build_neighbor_table() const {
   std::vector<std::vector<std::size_t>> reach(2 * wormholes.size());
   for (std::size_t w = 0; w < wormholes.size(); ++w) {
     for (std::size_t i = 0; i < n; ++i) {
-      const Node& a = *order_[i];
-      const double r2 = a.range() * a.range();
-      if (util::distance_squared(a.position(), wormholes[w].mouth_a) <= r2)
+      if (util::distance_squared(pos[i], wormholes[w].mouth_a) <= range2[i])
         reach[2 * w].push_back(i);
-      if (util::distance_squared(a.position(), wormholes[w].mouth_b) <= r2)
+      if (util::distance_squared(pos[i], wormholes[w].mouth_b) <= range2[i])
         reach[2 * w + 1].push_back(i);
     }
   }
 
-  // Receivers in registration order, each appended to every candidate
-  // sender the channel predicate accepts, so every list comes out in
-  // registration order. tried[i] == j + 1 once sender i was tried for
-  // receiver j, which skips candidates found twice.
-  std::vector<std::size_t> tried(n, 0);
-  for (std::size_t j = 0; j < n; ++j) {
-    const Node& b = *order_[j];
-    const auto consider = [&](std::size_t i) {
-      if (i == j || tried[i] == j + 1) return;
-      tried[i] = j + 1;
-      if (channel_.connected(*order_[i], b)) neighbors_[i].push_back(b.id());
-    };
-    const std::size_t cx = cell_of[j] % nx;
-    const std::size_t cy = cell_of[j] / nx;
-    for (std::size_t gy = cy == 0 ? 0 : cy - 1; gy <= std::min(cy + 1, ny - 1);
-         ++gy) {
-      for (std::size_t gx = cx == 0 ? 0 : cx - 1;
-           gx <= std::min(cx + 1, nx - 1); ++gx) {
-        const std::size_t c = gy * nx + gx;
-        for (std::size_t k = cell_start[c]; k < cell_start[c + 1]; ++k)
-          consider(members[k]);
+  // Calls visit(j, senders) for every receiver j in registration order,
+  // with the senders Channel::connected accepts for j, so every row fills
+  // in registration order. The predicate is direct reach or a tunnel. The
+  // grid pass tests direct reach only, with direct_reach's expression, and
+  // marks only the senders it accepts as tried (tried[i] == j + 1), since
+  // one it rejects may still reach j through a tunnel. The tunnel
+  // candidates, the senders at a mouth whose twin j hears, then go through
+  // the full predicate, each at most once. Only they read the marks, so a
+  // receiver that hears no mouth skips marking.
+  std::vector<std::size_t> tried(n);
+  std::vector<std::size_t> linked(n);
+  std::vector<const std::vector<std::size_t>*> tunnels;
+  const auto for_each_receiver = [&](auto&& visit) {
+    std::fill(tried.begin(), tried.end(), 0);
+    for (std::size_t j = 0; j < n; ++j) {
+      const util::Vec2 pj = pos[j];
+      tunnels.clear();
+      for (std::size_t w = 0; w < wormholes.size(); ++w) {
+        const WormholeLink& wormhole = wormholes[w];
+        const double exit2 = wormhole.exit_range_ft * wormhole.exit_range_ft;
+        if (util::distance_squared(wormhole.mouth_b, pj) <= exit2)
+          tunnels.push_back(&reach[2 * w]);
+        if (util::distance_squared(wormhole.mouth_a, pj) <= exit2)
+          tunnels.push_back(&reach[2 * w + 1]);
       }
+      const bool mark = !tunnels.empty();
+
+      // The 3x3 block is three runs of adjacent cells. About a third of a
+      // block is in range, in no order a branch predictor could follow, so
+      // the test does not branch: every candidate is stored, and only an
+      // accepted one advances `found`.
+      std::size_t found = 0;
+      const std::size_t cx = cell_of[j] % nx;
+      const std::size_t cy = cell_of[j] / nx;
+      const std::size_t gx_lo = cx == 0 ? 0 : cx - 1;
+      const std::size_t gx_hi = std::min(cx + 1, nx - 1);
+      for (std::size_t gy = cy == 0 ? 0 : cy - 1;
+           gy <= std::min(cy + 1, ny - 1); ++gy) {
+        const std::size_t end = cell_start[gy * nx + gx_hi + 1];
+        for (std::size_t k = cell_start[gy * nx + gx_lo]; k < end; ++k) {
+          const Candidate& c = by_cell[k];
+          const bool direct =
+              (c.index != j) & (util::distance_squared(c.pos, pj) <= c.range2);
+          if (mark) tried[c.index] = direct ? j + 1 : 0;
+          linked[found] = c.index;
+          found += direct;
+        }
+      }
+      for (const std::vector<std::size_t>* senders : tunnels) {
+        for (const std::size_t i : *senders) {
+          if (i == j || tried[i] == j + 1) continue;
+          tried[i] = j + 1;
+          if (channel_.connected(*order_[i], *order_[j])) linked[found++] = i;
+        }
+      }
+      visit(j, std::span<const std::size_t>(linked).first(found));
     }
-    for (std::size_t w = 0; w < wormholes.size(); ++w) {
-      const WormholeLink& link = wormholes[w];
-      const double exit2 = link.exit_range_ft * link.exit_range_ft;
-      if (util::distance_squared(link.mouth_b, b.position()) <= exit2)
-        for (const std::size_t i : reach[2 * w]) consider(i);
-      if (util::distance_squared(link.mouth_a, b.position()) <= exit2)
-        for (const std::size_t i : reach[2 * w + 1]) consider(i);
-    }
-  }
+  };
+
+  // Count each sender's links, then fill its row receiver by receiver.
+  for_each_receiver([&](std::size_t, std::span<const std::size_t> senders) {
+    for (const std::size_t i : senders) ++neighbor_start_[i + 1];
+  });
+  for (std::size_t i = 0; i < n; ++i)
+    neighbor_start_[i + 1] += neighbor_start_[i];
+  neighbor_ids_.resize(neighbor_start_[n]);
+  std::vector<std::size_t> next(neighbor_start_.begin(),
+                                neighbor_start_.end() - 1);
+  for_each_receiver([&](std::size_t j, std::span<const std::size_t> senders) {
+    const NodeId id = order_[j]->id();
+    for (const std::size_t i : senders) neighbor_ids_[next[i]++] = id;
+  });
 }
 
 void Network::start_all() {

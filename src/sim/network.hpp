@@ -4,6 +4,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -44,9 +45,9 @@ class Network {
   /// IDs of the nodes a transmission from `id` reaches directly or through
   /// a wormhole (Channel::connected), in registration order. Reads a
   /// neighbour table built on the first query and rebuilt on the first
-  /// query after a node or wormhole is added; the returned list stays valid
+  /// query after a node or wormhole is added; the returned view stays valid
   /// until then. Not safe to call concurrently on one Network.
-  const std::vector<NodeId>& connected_nodes(NodeId id) const;
+  std::span<const NodeId> connected_nodes(NodeId id) const;
 
   /// Calls start() on every node in registration order.
   void start_all();
@@ -66,9 +67,12 @@ class Network {
   /// Registration index of each node ID.
   std::unordered_map<NodeId, std::size_t> index_of_;
 
-  /// connected_nodes of every node, by registration index, and the node and
-  /// wormhole counts it was built for.
-  mutable std::vector<std::vector<NodeId>> neighbors_;
+  /// connected_nodes of every node in compressed sparse rows: the list of
+  /// the node with registration index i is
+  /// neighbor_ids_[neighbor_start_[i], neighbor_start_[i + 1]). Also the
+  /// node and wormhole counts the table was built for.
+  mutable std::vector<std::size_t> neighbor_start_;
+  mutable std::vector<NodeId> neighbor_ids_;
   mutable std::size_t table_nodes_ = 0;
   mutable std::size_t table_wormholes_ = 0;
 };

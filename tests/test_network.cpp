@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <sstream>
 
 #include "prop/prop.hpp"
@@ -19,6 +20,12 @@ class CountingNode final : public Node {
   int started = 0;
   int received = 0;
 };
+
+/// connected_nodes as a vector, for comparing with expected lists.
+std::vector<NodeId> neighbors(const Network& net, NodeId id) {
+  const std::span<const NodeId> ids = net.connected_nodes(id);
+  return {ids.begin(), ids.end()};
+}
 
 TEST(Network, NodeLookup) {
   Network net;
@@ -43,8 +50,8 @@ TEST(Network, DirectNeighborsRespectRange) {
   net.emplace_node<CountingNode>(1, util::Vec2{0, 0}, 100.0);
   net.emplace_node<CountingNode>(2, util::Vec2{50, 0}, 100.0);
   net.emplace_node<CountingNode>(3, util::Vec2{150, 0}, 100.0);
-  EXPECT_EQ(net.connected_nodes(1), (std::vector<NodeId>{2}));
-  EXPECT_EQ(net.connected_nodes(2), (std::vector<NodeId>{1, 3}));
+  EXPECT_EQ(neighbors(net, 1), (std::vector<NodeId>{2}));
+  EXPECT_EQ(neighbors(net, 2), (std::vector<NodeId>{1, 3}));
 }
 
 TEST(Network, ConnectedNodesIncludeWormholePeers) {
@@ -60,6 +67,23 @@ TEST(Network, ConnectedNodesIncludeWormholePeers) {
   const auto connected = net.connected_nodes(1);
   EXPECT_NE(std::find(connected.begin(), connected.end(), 2u),
             connected.end());
+}
+
+TEST(Network, TunnelOnlyPeerInAdjacentCellIsFound) {
+  // 150 ft apart with 100 ft ranges: the two nodes sit in neighbouring grid
+  // cells, out of each other's direct reach, and connected only through the
+  // tunnel. The grid pass rejects each as a direct sender; the tunnel pass
+  // must still try it.
+  Network net;
+  net.emplace_node<CountingNode>(1, util::Vec2{0, 0}, 100.0);
+  net.emplace_node<CountingNode>(2, util::Vec2{150, 0}, 100.0);
+  WormholeLink link;
+  link.mouth_a = {10, 0};
+  link.mouth_b = {140, 0};
+  link.exit_range_ft = 100.0;
+  net.channel().add_wormhole(link);
+  EXPECT_EQ(neighbors(net, 1), (std::vector<NodeId>{2}));
+  EXPECT_EQ(neighbors(net, 2), (std::vector<NodeId>{1}));
 }
 
 TEST(Network, NeighborQueriesValidateId) {
@@ -208,8 +232,7 @@ TEST(Network, ConnectedNodesMatchPairwiseScan) {
           for (const WormholeLink& w : t.wormholes[stage])
             net.channel().add_wormhole(w);
           for (const Node* node : net.nodes()) {
-            if (net.connected_nodes(node->id()) !=
-                scan_connected(net, node->id()))
+            if (neighbors(net, node->id()) != scan_connected(net, node->id()))
               return false;
           }
         }

@@ -4,6 +4,7 @@
 
 #include "sim/time.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace sld::ranging {
 namespace {
@@ -65,7 +66,6 @@ TEST(Calibration, TenThousandSamplesReproduceFigure4) {
   MoteTimingModel model;
   util::Rng rng(4);
   const auto cal = calibrate_rtt(model, 10000, 150.0, rng);
-  EXPECT_EQ(cal.cdf.size(), 10000u);
   // The theoretical envelope is [5396, 7124] cycles; the empirical extremes
   // of 10,000 Irwin-Hall samples sit somewhat inside it (the corners of a
   // sum of four uniforms are rare), just as the paper's measured x_min and
@@ -80,14 +80,35 @@ TEST(Calibration, TenThousandSamplesReproduceFigure4) {
 TEST(Calibration, CdfIsMonotone) {
   MoteTimingModel model;
   util::Rng rng(5);
-  const auto cal = calibrate_rtt(model, 5000, 150.0, rng);
+  const util::EmpiricalCdf cdf(
+      sample_calibration_rtts(model, 5000, 150.0, rng));
   double prev = -1.0;
-  for (double x = cal.x_min_cycles; x <= cal.x_max_cycles; x += 50.0) {
-    const double f = cal.cdf.at(x);
+  for (double x = cdf.x_min(); x <= cdf.x_max(); x += 50.0) {
+    const double f = cdf.at(x);
     EXPECT_GE(f, prev);
     prev = f;
   }
-  EXPECT_DOUBLE_EQ(cal.cdf.at(cal.x_max_cycles), 1.0);
+  EXPECT_DOUBLE_EQ(cdf.at(cdf.x_max()), 1.0);
+}
+
+TEST(Calibration, BoundsEqualTheSortedDrawsOfTheSameRng) {
+  // calibrate_rtt keeps the extremes while drawing; Figure 4 sorts the
+  // draws. Both must consume the same draws and agree on the bounds.
+  MoteTimingModel model;
+  for (const std::uint64_t seed : {1u, 2u, 77u, 4096u, 123456789u}) {
+    for (const std::size_t samples : {1u, 2u, 10000u}) {
+      util::Rng bounds_rng(seed);
+      util::Rng draws_rng(seed);
+      const auto cal = calibrate_rtt(model, samples, 150.0, bounds_rng);
+      const auto draws =
+          sample_calibration_rtts(model, samples, 150.0, draws_rng);
+      ASSERT_EQ(draws.size(), samples);
+      const util::EmpiricalCdf cdf(draws);
+      EXPECT_EQ(cal.x_min_cycles, cdf.x_min()) << seed << " " << samples;
+      EXPECT_EQ(cal.x_max_cycles, cdf.x_max()) << seed << " " << samples;
+      EXPECT_EQ(bounds_rng(), draws_rng()) << seed << " " << samples;
+    }
+  }
 }
 
 TEST(Calibration, ReplayLongerThanSpanAlwaysExceedsXmax) {
@@ -124,6 +145,10 @@ TEST(Calibration, InputValidation) {
   util::Rng rng(8);
   EXPECT_THROW(calibrate_rtt(model, 0, 150.0, rng), std::invalid_argument);
   EXPECT_THROW(calibrate_rtt(model, 10, -1.0, rng), std::invalid_argument);
+  EXPECT_THROW(sample_calibration_rtts(model, 0, 150.0, rng),
+               std::invalid_argument);
+  EXPECT_THROW(sample_calibration_rtts(model, 10, -1.0, rng),
+               std::invalid_argument);
 }
 
 TEST(RttExchange, MacDelayCancelsOut) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Mutation smoke test: applies 17 curated single-line mutants to the
+# Mutation smoke test: applies 18 curated single-line mutants to the
 # detection/revocation/sim/crypto/core/obs sources and verifies the test suite kills every
 # one (at least one registered test fails per mutant). A mutant that
 # survives means a guard has no test teeth — the script fails loudly. It
@@ -16,6 +16,12 @@ set -uo pipefail
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 jobs="${1:-$(nproc)}"
 build="$repo/build-mutation"
+
+# Use ccache transparently when the host has it (CI restores its cache).
+launcher_args=()
+if command -v ccache > /dev/null 2>&1; then
+  launcher_args=(-DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
+fi
 
 # --- mutant table ---------------------------------------------------------
 # Each mutant: file | exact old text | exact new text | test targets to
@@ -67,8 +73,14 @@ add_mutant "consistency-pass-nan" \
 
 add_mutant "neighbor-grid-narrow-block" \
   "src/sim/network.cpp" \
-  "gx <= std::min(cx + 1, nx - 1); ++gx) {" \
-  "gx <= std::min(cx, nx - 1); ++gx) {" \
+  "const std::size_t gx_hi = std::min(cx + 1, nx - 1);" \
+  "const std::size_t gx_hi = std::min(cx, nx - 1);" \
+  "test_network"
+
+add_mutant "neighbor-grid-mark-rejected" \
+  "src/sim/network.cpp" \
+  "if (mark) tried[c.index] = direct ? j + 1 : 0;" \
+  "if (mark) tried[c.index] = j + 1;" \
   "test_network"
 
 add_mutant "replay-flip-comparison" \
@@ -173,7 +185,7 @@ trap 'rm -rf "$backup_dir"' EXIT
 echo "=== configure ($build, RelWithDebInfo + invariants ON) ==="
 cmake -S "$repo" -B "$build" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DSLD_INVARIANTS=ON -DSLD_BUILD_BENCH=OFF -DSLD_BUILD_EXAMPLES=OFF \
-  > /dev/null
+  "${launcher_args[@]}" > /dev/null
 
 all_tests="$(printf '%s\n' "${MUTANT_TESTS[@]}" | tr ' ' '\n' | sort -u | tr '\n' ' ')"
 echo "=== clean-tree baseline: ${all_tests}==="
