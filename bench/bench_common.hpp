@@ -8,7 +8,6 @@
 //   --repeats N    measured repetitions of the whole workload (default 1)
 //   --warmup N     unmeasured warmup repetitions (default 0)
 //   --json FILE    machine-readable BENCH result (bench_runner.hpp)
-//   --profile FILE hierarchical profiler JSON; table goes to stderr
 //   --jobs N       worker threads per experiment (1 = serial, 0 = hardware)
 //   --memstats     allocation + hot-path telemetry (table on stderr,
 //                  "memstats" block in --json)
@@ -102,9 +101,6 @@ struct BenchArgs {
   /// Machine-readable bench-result destination ("--json FILE"); empty
   /// means no BENCH_*.json is written.
   std::string json_path;
-  /// Profiler snapshot destination ("--profile FILE"); empty means the
-  /// profiler stays off (zero overhead).
-  std::string profile_path;
   /// Worker threads per experiment ("--jobs N"): 1 (the default) runs the
   /// classic serial loop, 0 means hardware concurrency, N>1 runs trials on
   /// the work-stealing executor. Every aggregate, golden, and stream is
@@ -156,6 +152,10 @@ struct BenchArgs {
       };
       if (a == "--trials") {
         args.trials = static_cast<std::size_t>(next_value("--trials"));
+        if (args.trials == 0) {
+          std::cerr << "--trials: must be at least 1\n";
+          std::exit(2);
+        }
       } else if (a == "--seed") {
         args.seed = static_cast<std::uint64_t>(next_value("--seed"));
       } else if (a == "--fast") {
@@ -170,8 +170,6 @@ struct BenchArgs {
         args.warmup = static_cast<std::size_t>(next_value("--warmup"));
       } else if (a == "--json") {
         args.json_path = next_arg("--json");
-      } else if (a == "--profile") {
-        args.profile_path = next_arg("--profile");
       } else if (a == "--jobs") {
         args.jobs = static_cast<std::size_t>(next_value("--jobs"));
       } else if (a == "--memstats") {
@@ -181,7 +179,7 @@ struct BenchArgs {
             << "usage: " << argv[0]
             << " [--trials N] [--seed S] [--fast]"
             << " [--repeats N] [--warmup N]"
-            << " [--json FILE] [--profile FILE] [--jobs N] [--memstats]\n"
+            << " [--json FILE] [--jobs N] [--memstats]\n"
             << "  --trials N     trials per sweep point (default 5)\n"
             << "  --seed S       base RNG seed (default 1)\n"
             << "  --fast         shrink sweeps for smoke runs\n"
@@ -190,8 +188,6 @@ struct BenchArgs {
             << "  --warmup N     unmeasured warmup repetitions (default 0)\n"
             << "  --json FILE    machine-readable bench result "
                "(sld-bench-result/v1)\n"
-            << "  --profile FILE profiler JSON snapshot; top-self-time "
-               "table on stderr\n"
             << "  --jobs N       worker threads per experiment "
                "(default 1 = serial, 0 = hardware concurrency)\n"
             << "  --memstats     allocation + hot-path telemetry "

@@ -19,8 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/profiler.hpp"
-
 namespace sld::bench {
 
 namespace {
@@ -238,12 +236,6 @@ int run_main(const char* name, const BenchArgs& args, const BenchBody& body) {
   NullBuffer null_buffer;
   std::ostream null_out(&null_buffer);
 
-  obs::Profiler& profiler = obs::Profiler::instance();
-  if (!args.profile_path.empty()) {
-    profiler.reset();
-    obs::Profiler::set_enabled(true);
-  }
-
   for (std::size_t w = 0; w < args.warmup; ++w) {
     BenchIteration it(null_out, /*report=*/false);
     body(it);
@@ -264,17 +256,6 @@ int run_main(const char* name, const BenchArgs& args, const BenchBody& body) {
   }
 
   if (args.memstats) std::cerr << obs::Memstats::format_table();
-
-  if (!args.profile_path.empty()) {
-    obs::Profiler::set_enabled(false);
-    std::ofstream profile_out(args.profile_path);
-    if (!profile_out) {
-      std::cerr << "--profile: cannot open " << args.profile_path << "\n";
-      return 2;
-    }
-    profile_out << profiler.snapshot_json() << "\n";
-    std::cerr << profiler.format_table();
-  }
 
   if (!args.json_path.empty()) {
     std::ofstream json_out(args.json_path);

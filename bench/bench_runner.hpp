@@ -86,8 +86,8 @@ class BenchIteration {
 
 using BenchBody = std::function<void(BenchIteration&)>;
 
-/// The standard bench main: measurement loop + optional --json result +
-/// optional --profile snapshot. Returns the process exit code.
+/// The standard bench main: measurement loop + optional --json result.
+/// Returns the process exit code.
 int run_main(const char* name, const BenchArgs& args, const BenchBody& body);
 
 }  // namespace sld::bench

@@ -7,7 +7,7 @@
 namespace sld::attack {
 
 MaliciousStrategyConfig MaliciousStrategyConfig::with_effectiveness(double P) {
-  if (P < 0.0 || P > 1.0)
+  if (!(P >= 0.0 && P <= 1.0))
     throw std::invalid_argument("with_effectiveness: P outside [0, 1]");
   MaliciousStrategyConfig c;
   c.p_normal = 1.0 - P;
@@ -19,7 +19,7 @@ MaliciousBeaconStrategy::MaliciousBeaconStrategy(
     : config_(config) {
   for (const double p : {config_.p_normal, config_.p_fake_wormhole,
                          config_.p_fake_local_replay}) {
-    if (p < 0.0 || p > 1.0)
+    if (!(p >= 0.0 && p <= 1.0))
       throw std::invalid_argument(
           "MaliciousBeaconStrategy: probability outside [0, 1]");
   }

@@ -3,11 +3,9 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
-#include <optional>
 #include <utility>
 
 #include "core/executor.hpp"
-#include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 
 namespace sld::core {
@@ -29,25 +27,13 @@ struct TrialOutcome {
   std::vector<std::string> timeseries_lines;
 };
 
-/// Runs one complete trial — setup, run, teardown — with the same profiler
-/// span structure on every path, so a profiled `--jobs N` run merges to
-/// the same span tree (names and call counts) as a profiled serial run.
+/// Runs one complete trial. `wall_ms` covers setup, run and teardown.
 TrialOutcome run_one_trial(const SystemConfig& trial_config) {
-  SLD_PROF_SCOPE("trial");
   TrialOutcome out;
   const auto wall_start = std::chrono::steady_clock::now();
-  std::optional<SecureLocalizationSystem> system;
   {
-    SLD_PROF_SCOPE("trial.setup");
-    system.emplace(trial_config);
-  }
-  {
-    SLD_PROF_SCOPE("trial.run");
-    out.summary = system->run();
-  }
-  {
-    SLD_PROF_SCOPE("trial.teardown");
-    system.reset();
+    SecureLocalizationSystem system(trial_config);
+    out.summary = system.run();
   }
   out.wall_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - wall_start)

@@ -10,7 +10,6 @@
 #include "crypto/mac.hpp"
 #include "localization/fallback.hpp"
 #include "obs/memstats.hpp"
-#include "obs/profiler.hpp"
 #include "sim/channel.hpp"
 
 namespace sld::core {
@@ -397,7 +396,6 @@ void BeaconNode::send_probe_round(PendingProbe probe,
 }
 
 void BeaconNode::on_probe_timeout(std::uint64_t nonce) {
-  SLD_PROF_SCOPE("arq.probe_timeout");
   SLD_MEM_SCOPE("arq");
   const auto it = pending_.find(nonce);
   if (it == pending_.end()) return;  // a reply arrived in time
@@ -468,7 +466,6 @@ void BeaconNode::handle_request(const sim::Delivery& delivery) {
 }
 
 void BeaconNode::handle_probe_reply(const sim::Delivery& delivery) {
-  SLD_PROF_SCOPE("detect.probe_round");
   SLD_MEM_SCOPE("detection");
   if (!verify(ctx_.keys, delivery.msg)) {
     ++ctx_.metrics.mac_failures;
@@ -641,7 +638,6 @@ void SensorNode::send_query(PendingQuery query, bool is_retransmission) {
 }
 
 void SensorNode::on_query_timeout(std::uint64_t nonce) {
-  SLD_PROF_SCOPE("arq.query_timeout");
   SLD_MEM_SCOPE("arq");
   const auto it = pending_.find(nonce);
   if (it == pending_.end()) return;  // answered in time
@@ -774,7 +770,6 @@ void SensorNode::on_message(const sim::Delivery& delivery) {
 }
 
 void SensorNode::finalize() {
-  SLD_PROF_SCOPE("sensor.finalize");
   // A sensor that is down when the phase ends has nothing to localize
   // with — its accepted references died in the crash.
   if (is_down()) {

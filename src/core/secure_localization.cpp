@@ -27,6 +27,10 @@ const SystemConfig& validated(const SystemConfig& config) {
   if (config.storm.flood_alerts_per_colluder > 0 && !config.collusion)
     throw std::invalid_argument(
         "SystemConfig: storm.flood_alerts_per_colluder needs collusion");
+  if (!(config.alert_loss_probability >= 0.0 &&
+        config.alert_loss_probability <= 1.0))
+    throw std::invalid_argument(
+        "SystemConfig: alert_loss_probability outside [0, 1]");
   return config;
 }
 }  // namespace

@@ -1,6 +1,5 @@
 #include "crypto/mac.hpp"
 
-#include "obs/profiler.hpp"
 
 namespace sld::crypto {
 
@@ -12,7 +11,6 @@ void store_le32(std::uint8_t* out, std::uint32_t v) {
 
 MacTag compute_mac(const Key128& key, std::uint32_t src, std::uint32_t dst,
                    std::span<const std::uint8_t> payload) {
-  SLD_PROF_SCOPE("crypto.mac");
   // The tag covers the little-endian (src, dst, length) header followed by
   // the payload, streamed into one SipHash rather than copied together.
   std::uint8_t header[12];

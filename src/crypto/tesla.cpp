@@ -4,12 +4,10 @@
 #include <utility>
 
 #include "crypto/mac.hpp"
-#include "obs/profiler.hpp"
 
 namespace sld::crypto {
 
 Key128 tesla_one_way(const Key128& key) {
-  SLD_PROF_SCOPE("crypto.tesla_one_way");
   // Domain-separated PRF of a fixed message under the input key: inverting
   // it requires inverting SipHash with an unknown key.
   static constexpr Key128 kDomain{0x75, 0x54, 0x45, 0x53, 0x4c, 0x41,

@@ -2,7 +2,6 @@
 
 #include "check/invariant.hpp"
 #include "obs/memstats.hpp"
-#include "obs/profiler.hpp"
 
 namespace sld::detection {
 
@@ -31,7 +30,6 @@ const char* outcome_name(ProbeOutcome outcome) {
 
 ProbeOutcome Detector::evaluate(const SignalObservation& observation,
                                 util::Rng& rng) const {
-  SLD_PROF_SCOPE("detect.evaluate");
   SLD_MEM_SCOPE("detection");
   const ConsistencyResult consistency =
       consistency_.check(observation.receiver_position,

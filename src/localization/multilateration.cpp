@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "obs/profiler.hpp"
 
 namespace sld::localization {
 
@@ -56,7 +55,6 @@ std::optional<util::Vec2> MultilaterationSolver::linear_initial_guess(
 
 std::optional<LocalizationResult> MultilaterationSolver::solve(
     const LocationReferences& references) const {
-  SLD_PROF_SCOPE("mlat.solve");
   if (references.size() < 3) return std::nullopt;
 
   auto guess = linear_initial_guess(references);

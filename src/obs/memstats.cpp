@@ -29,8 +29,7 @@ thread_local bool tl_in_hook = false;       // reentrancy guard
 thread_local bool tl_exiting = false;       // thread stats already retired
 
 /// One thread's per-scope rows. Scopes are few (one per subsystem), so
-/// lookup is a linear scan with pointer-identity fast path, like the
-/// profiler's child lookup.
+/// lookup is a linear scan with pointer-identity fast path.
 struct ThreadState {
   struct Row {
     const char* tag;

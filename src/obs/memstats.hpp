@@ -1,12 +1,12 @@
 // Allocation telemetry (the observability subsystem's where-did-the-memory-
-// go half; see obs/profiler.hpp for wall time and obs/metrics.hpp for
+// go part; see obs/trace.hpp for events and obs/metrics.hpp for
 // aggregates).
 //
 // Instrumented code marks a region with `SLD_MEM_SCOPE("subsystem")`: an
 // RAII tag that attributes every heap allocation made while it is live (on
 // the same thread, innermost tag wins) to that subsystem. The layer is OFF
 // by default and follows the same cached-boolean gating discipline as
-// `Tracer` and `Profiler`: with memstats disabled the replaced global
+// `Tracer`: with memstats disabled the replaced global
 // `operator new`/`operator delete` are a relaxed atomic load and a branch
 // in front of plain malloc/free — no tracking structure is touched, no
 // allocation happens, and no randomness is drawn, so a memstats-off run is
@@ -26,9 +26,9 @@
 // concurrent trials sharing a scope make the merged peak depend on worker
 // count — it is reported but excluded from exact regression gates.
 //
-// Thread-exit handling mirrors the profiler: each thread's stats are
-// registered once and folded into a retired accumulator when the thread
-// exits, so `snapshot()` survives WorkStealingPool worker churn.
+// Thread exit: each thread's stats are registered once and folded into a
+// retired accumulator when the thread exits, so `snapshot()` survives
+// WorkStealingPool worker churn.
 //
 // Thread-safety contract: recording touches only the calling thread's
 // stats plus one pointer-table shard lock. `set_enabled` / `snapshot`

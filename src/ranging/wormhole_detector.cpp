@@ -7,7 +7,7 @@ namespace sld::ranging {
 ProbabilisticWormholeDetector::ProbabilisticWormholeDetector(
     double detection_rate, std::uint64_t seed)
     : detection_rate_(detection_rate), seed_(seed) {
-  if (detection_rate_ < 0.0 || detection_rate_ > 1.0)
+  if (!(detection_rate_ >= 0.0 && detection_rate_ <= 1.0))
     throw std::invalid_argument(
         "ProbabilisticWormholeDetector: rate outside [0, 1]");
 }

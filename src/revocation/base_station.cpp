@@ -2,7 +2,6 @@
 
 #include "check/invariant.hpp"
 #include "obs/memstats.hpp"
-#include "obs/profiler.hpp"
 
 namespace sld::revocation {
 
@@ -74,7 +73,6 @@ AlertDisposition BaseStation::process_alert(sim::NodeId reporter,
                                             sim::NodeId target,
                                             std::uint64_t nonce,
                                             sim::SimTime now) {
-  SLD_PROF_SCOPE("bs.process_alert");
   SLD_MEM_SCOPE("revocation");
   const std::uint32_t alerts_before = alert_counter(target);
   const bool revoked_before = revoked_.contains(target);

@@ -7,7 +7,7 @@ namespace sld::revocation {
 DisseminationModel::DisseminationModel(double reach_probability,
                                        std::uint64_t seed)
     : reach_probability_(reach_probability) {
-  if (reach_probability_ < 0.0 || reach_probability_ > 1.0)
+  if (!(reach_probability_ >= 0.0 && reach_probability_ <= 1.0))
     throw std::invalid_argument(
         "DisseminationModel: probability outside [0, 1]");
   for (int i = 0; i < 8; ++i) {

@@ -3,9 +3,9 @@
 // simulator closures to the heap.
 //
 // A callable of at most kInlineBytes (8-byte aligned, nothrow-movable) is
-// constructed inside the Action; the largest closure a trial schedules, a
-// node timer wrapping its std::function, is 48 bytes. Anything larger
-// falls back to one heap allocation, so every callable still works.
+// constructed inside the Action; the largest closures a trial schedules, a
+// node timer with its fence and an alert retry, are 32 bytes. Anything
+// larger falls back to one heap allocation, so every callable still works.
 #pragma once
 
 #include <cstddef>

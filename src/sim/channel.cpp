@@ -5,7 +5,6 @@
 
 #include "check/invariant.hpp"
 #include "obs/memstats.hpp"
-#include "obs/profiler.hpp"
 #include "util/geometry.hpp"
 
 namespace sld::sim {
@@ -36,7 +35,7 @@ Channel::Channel(Scheduler& scheduler, ChannelConfig config, util::Rng rng)
       // perturbs the delivery-loss draws of the main stream (and a
       // disabled plan never draws at all).
       faults_(config_.faults, rng.fork(0xfa0175)) {
-  if (config_.loss_probability < 0.0 || config_.loss_probability > 1.0)
+  if (!(config_.loss_probability >= 0.0 && config_.loss_probability <= 1.0))
     throw std::invalid_argument("Channel: loss probability outside [0, 1]");
 }
 
@@ -161,7 +160,6 @@ void Channel::inject(const TxContext& ctx, Message msg) {
 }
 
 void Channel::transmit(const TxContext& ctx, const Message& msg) {
-  SLD_PROF_SCOPE("channel.transmit");
   SLD_MEM_SCOPE("channel");
   ++stats_.transmissions;
 
@@ -242,7 +240,6 @@ void Channel::transmit(const TxContext& ctx, const Message& msg) {
 }
 
 void Channel::deliver(Node& dst, const TxContext& ctx, const Message& msg) {
-  SLD_PROF_SCOPE("channel.deliver");
   ++stats_.delivery_attempts;
   if (rng_.bernoulli(config_.loss_probability)) {
     ++stats_.losses;

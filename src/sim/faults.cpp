@@ -32,7 +32,7 @@ bool FaultPlan::any_enabled() const {
 FaultInjector::FaultInjector(FaultPlan plan, util::Rng rng)
     : plan_(std::move(plan)), rng_(rng), enabled_(plan_.any_enabled()) {
   auto check_p = [](double p, const char* what) {
-    if (p < 0.0 || p > 1.0)
+    if (!(p >= 0.0 && p <= 1.0))
       throw std::invalid_argument(std::string("FaultPlan: ") + what +
                                   " outside [0, 1]");
   };

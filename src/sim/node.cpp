@@ -1,7 +1,6 @@
 #include "sim/node.hpp"
 
 #include <stdexcept>
-#include <utility>
 
 #include "check/invariant.hpp"
 #include "sim/channel.hpp"
@@ -43,25 +42,17 @@ bool Node::alive_at(SimTime now) const {
   return true;
 }
 
-void Node::schedule_timer(SimTime delay, std::function<void()> action) {
-  schedule_timer_at(scheduler().now() + delay, std::move(action));
-}
-
-void Node::schedule_timer_at(SimTime when, std::function<void()> action) {
-  Scheduler& sched = scheduler();
-  const std::uint32_t epoch = boot_epoch_;
-  sched.schedule_at(when, [this, epoch, action = std::move(action)]() {
-    if (epoch != boot_epoch_ || !alive_at(scheduler_->now())) {
-      ++timers_dropped_;
-      return;
-    }
-    SLD_INVARIANT(!down_ && !(channel_ != nullptr &&
-                              channel_->faults().enabled() &&
-                              channel_->faults().node_crashed(
-                                  id_, scheduler_->now())),
-                  "node timer fired while its owner is down");
-    action();
-  });
+bool Node::timer_may_fire(std::uint32_t epoch) {
+  if (epoch != boot_epoch_ || !alive_at(scheduler_->now())) {
+    ++timers_dropped_;
+    return false;
+  }
+  SLD_INVARIANT(!down_ && !(channel_ != nullptr &&
+                            channel_->faults().enabled() &&
+                            channel_->faults().node_crashed(
+                                id_, scheduler_->now())),
+                "node timer fired while its owner is down");
+  return true;
 }
 
 void Node::crash_now() {

@@ -5,7 +5,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <utility>
 
 #include "sim/message.hpp"
 #include "sim/scheduler.hpp"
@@ -68,12 +68,25 @@ class Node {
   /// this node: the action is dropped — never executed — if the node is
   /// down when the timer fires or has rebooted since it was scheduled
   /// (volatile timer state does not survive a crash).
-  void schedule_timer(SimTime delay, std::function<void()> action);
+  template <typename F>
+  void schedule_timer(SimTime delay, F&& action) {
+    schedule_timer_at(scheduler().now() + delay, std::forward<F>(action));
+  }
 
   /// Absolute-time variant of schedule_timer.
-  void schedule_timer_at(SimTime when, std::function<void()> action);
+  template <typename F>
+  void schedule_timer_at(SimTime when, F&& action) {
+    scheduler().schedule_at(
+        when, [this, epoch = boot_epoch_, action = std::forward<F>(action)]() {
+          if (timer_may_fire(epoch)) action();
+        });
+  }
 
  private:
+  /// The fence in front of every node timer: false, with the timer counted
+  /// in timers_dropped(), if the node rebooted after `epoch` or is down now.
+  bool timer_may_fire(std::uint32_t epoch);
+
   /// True if the node may act at time `now`: neither dynamically down nor
   /// inside a statically configured crash window.
   bool alive_at(SimTime now) const;

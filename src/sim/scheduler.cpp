@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "check/invariant.hpp"
-#include "obs/profiler.hpp"
 
 namespace sld::sim {
 
@@ -29,10 +28,7 @@ std::uint64_t Scheduler::run(std::uint64_t max_events) {
                   "time monotonicity: popped event at " << ev.when
                       << " ns while the clock reads " << now_ << " ns");
     advance_clock(ev.when);
-    {
-      SLD_PROF_SCOPE("sched.event");
-      ev.action();
-    }
+    ev.action();
     ++executed;
     ++executed_;
   }
@@ -50,10 +46,7 @@ std::uint64_t Scheduler::run_until(SimTime until) {
                   "no event after stop: event at " << ev.when
                       << " ns executed past run_until(" << until << ")");
     advance_clock(ev.when);
-    {
-      SLD_PROF_SCOPE("sched.event");
-      ev.action();
-    }
+    ev.action();
     ++executed;
     ++executed_;
   }

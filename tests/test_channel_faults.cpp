@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "check/invariant.hpp"
@@ -387,9 +388,11 @@ TEST(FaultPlan, DelayJitterIsBoundedAndDeterministic) {
 }
 
 TEST(FaultPlan, InvalidParametersRejected) {
-  FaultPlan bad_loss;
-  bad_loss.loss_probability = 1.5;
-  EXPECT_THROW((Network{with_faults(bad_loss), 1}), std::invalid_argument);
+  for (const double p : {1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    FaultPlan bad_loss;
+    bad_loss.loss_probability = p;
+    EXPECT_THROW((Network{with_faults(bad_loss), 1}), std::invalid_argument);
+  }
 
   FaultPlan bad_window;
   bad_window.crashes.push_back(CrashWindow{1, 100, 100});

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace sld::revocation {
 namespace {
 
@@ -46,6 +48,9 @@ TEST(Dissemination, IndependentAcrossRevocations) {
 TEST(Dissemination, RejectsBadProbability) {
   EXPECT_THROW(DisseminationModel(-0.1, 1), std::invalid_argument);
   EXPECT_THROW(DisseminationModel(1.1, 1), std::invalid_argument);
+  EXPECT_THROW(
+      DisseminationModel(std::numeric_limits<double>::quiet_NaN(), 1),
+      std::invalid_argument);
 }
 
 }  // namespace

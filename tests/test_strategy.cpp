@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 
 namespace sld::attack {
@@ -23,6 +24,9 @@ TEST(StrategyConfig, WithEffectiveness) {
   EXPECT_NEAR(c.effectiveness(), 0.35, 1e-12);
   EXPECT_NEAR(c.p_normal, 0.65, 1e-12);
   EXPECT_THROW(MaliciousStrategyConfig::with_effectiveness(1.5),
+               std::invalid_argument);
+  EXPECT_THROW(MaliciousStrategyConfig::with_effectiveness(
+                   std::numeric_limits<double>::quiet_NaN()),
                std::invalid_argument);
 }
 
@@ -81,6 +85,9 @@ TEST(Strategy, RejectsBadProbabilities) {
   EXPECT_THROW(MaliciousBeaconStrategy(c, 1), std::invalid_argument);
   c = MaliciousStrategyConfig{};
   c.p_fake_wormhole = 1.5;
+  EXPECT_THROW(MaliciousBeaconStrategy(c, 1), std::invalid_argument);
+  c = MaliciousStrategyConfig{};
+  c.p_fake_local_replay = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(MaliciousBeaconStrategy(c, 1), std::invalid_argument);
 }
 

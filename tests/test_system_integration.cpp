@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "core/experiment.hpp"
@@ -109,6 +110,22 @@ TEST(SystemConfigValidation, StormFloodWithoutCollusionIsRejected) {
   EXPECT_THROW(SecureLocalizationSystem{c}, std::invalid_argument);
   c.collusion = true;
   EXPECT_NO_THROW(SecureLocalizationSystem{c});
+}
+
+TEST(SystemConfigValidation, ProbabilitiesOutsideUnitIntervalAreRejected) {
+  // NaN fails every comparison, so a check written as p < 0 || p > 1
+  // would let it run.
+  for (double SystemConfig::*field :
+       {&SystemConfig::channel_loss_probability,
+        &SystemConfig::wormhole_detection_rate,
+        &SystemConfig::alert_loss_probability}) {
+    for (const double bad :
+         {-0.1, 2.0, std::numeric_limits<double>::quiet_NaN()}) {
+      SystemConfig c = small_config();
+      c.*field = bad;
+      EXPECT_THROW(SecureLocalizationSystem{c}, std::invalid_argument);
+    }
+  }
 }
 
 TEST(SystemIntegration, WormholeAloneCausesNoRevocations) {

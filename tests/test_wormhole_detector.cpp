@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "util/rng.hpp"
 
 namespace sld::ranging {
@@ -101,6 +103,9 @@ TEST(ProbabilisticDetector, FakedIndicationAlwaysFires) {
 TEST(ProbabilisticDetector, RejectsBadRate) {
   EXPECT_THROW(ProbabilisticWormholeDetector(-0.1), std::invalid_argument);
   EXPECT_THROW(ProbabilisticWormholeDetector(1.1), std::invalid_argument);
+  EXPECT_THROW(
+      ProbabilisticWormholeDetector(std::numeric_limits<double>::quiet_NaN()),
+      std::invalid_argument);
 }
 
 TEST(GeographicLeash, FlagsImpossiblyFarClaims) {

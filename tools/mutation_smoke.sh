@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Mutation smoke test: applies 18 curated single-line mutants to the
-# detection/revocation/sim/crypto/core/obs sources and verifies the test suite kills every
-# one (at least one registered test fails per mutant). A mutant that
-# survives means a guard has no test teeth — the script fails loudly. It
-# edits the sources of the checkout it runs from (restoring each file
-# afterwards), so run it from a scratch copy.
+# Mutation smoke test: applies 19 curated single-line mutants to the
+# detection/revocation/sim/crypto/core/obs/ranging sources and verifies the
+# test suite kills every one (at least one registered test fails per
+# mutant). A mutant that survives means a guard has no test teeth — the
+# script fails loudly. It edits the sources of the checkout it runs from
+# (restoring each file afterwards), so run it from a scratch copy.
 #
 # Uses a dedicated build tree (build-mutation, RelWithDebInfo with runtime
 # invariants ON) and rebuilds only the test targets each mutant needs, so a
@@ -143,6 +143,12 @@ add_mutant "detector-swallow-alert" \
   "outcome = ProbeOutcome::kAlert;" \
   "outcome = ProbeOutcome::kConsistent;" \
   "test_invariants"
+
+add_mutant "wormhole-rate-pass-nan" \
+  "src/ranging/wormhole_detector.cpp" \
+  "if (!(detection_rate_ >= 0.0 && detection_rate_ <= 1.0))" \
+  "if (detection_rate_ < 0.0 || detection_rate_ > 1.0)" \
+  "test_wormhole_detector"
 
 add_mutant "readthrough-no-latch" \
   "src/obs/metrics.hpp" \

@@ -1,26 +1,16 @@
 #!/usr/bin/env python3
-"""Chrome-trace / Perfetto exporter for sld profiler + telemetry output.
+"""Chrome-trace / Perfetto exporter for sld telemetry output.
 
 Usage:
-    prof_report.py [--profile PROF.json] [--timeseries TS.jsonl] -o OUT.json
+    prof_report.py --timeseries TS.jsonl -o OUT.json
     prof_report.py --validate OUT.json [OUT.json ...]
 
-Converts either or both of:
-
-  * an `sld-profile/v1` snapshot (bench --profile FILE): the aggregated
-    span tree becomes one flame-graph lane of "ph":"X" complete events.
-    The profiler keeps totals, not per-call records, so timestamps are
-    synthesized — each span starts where its parent (or elder sibling)
-    left off and spans its total_ns. Wall positions are therefore
-    schematic; widths, nesting, and the {calls, total_ns, self_ns} args
-    are exact.
-
-  * a `timeseries/v1` JSONL stream (bench --timeseries FILE): every
-    per-window counter delta and gauge (the `mem.*` allocation mirrors,
-    `hot.*` queue-depth/fan-out instruments, `mem.rss_kb`, breaker
-    states, ...) becomes a "ph":"C" counter track sampled at the window
-    edge; histogram quantiles surface as `<name>.p99` tracks. Window
-    timestamps are sim time, so these tracks are deterministic.
+Converts a `timeseries/v1` JSONL stream (bench --timeseries FILE): every
+per-window counter delta and gauge (the `mem.*` allocation mirrors,
+`hot.*` queue-depth/fan-out instruments, `mem.rss_kb`, breaker states,
+...) becomes a "ph":"C" counter track sampled at the window edge;
+histogram quantiles surface as `<name>.p99` tracks. Window timestamps are
+sim time, so these tracks are deterministic.
 
 The output is the Chrome Trace Event JSON-object format — load it at
 chrome://tracing or ui.perfetto.dev. --validate structurally checks a
@@ -35,62 +25,10 @@ import sys
 
 from jsonl_schema import records
 
-PROFILE_SCHEMA = "sld-profile/v1"
 TS_SCHEMA = "timeseries/v1"
 
-# Trace-event layout: one fake process, spans and counters on separate
-# tracks so Perfetto renders the flame lane above the counter tracks.
+# Trace-event layout: every counter track belongs to one fake process.
 PID = 1
-TID_SPANS = 1
-
-
-def _meta(name, args, tid=None):
-    ev = {"name": name, "ph": "M", "pid": PID, "args": args}
-    if tid is not None:
-        ev["tid"] = tid
-    return ev
-
-
-def spans_to_events(doc, path):
-    """Flattens the sld-profile/v1 span tree into complete ("ph":"X")
-    events with synthesized sequential timestamps (microseconds)."""
-    if doc.get("schema") != PROFILE_SCHEMA:
-        raise ValueError(
-            f"{path}: schema is '{doc.get('schema')}', "
-            f"expected '{PROFILE_SCHEMA}'")
-    spans = doc.get("spans")
-    if not isinstance(spans, list):
-        raise ValueError(f"{path}: missing 'spans' array")
-
-    events = []
-
-    def emit(span, start_us):
-        for key in ("name", "calls", "total_ns", "self_ns"):
-            if key not in span:
-                raise ValueError(f"{path}: span missing '{key}'")
-        dur_us = span["total_ns"] / 1000.0
-        events.append({
-            "name": span["name"],
-            "ph": "X",
-            "ts": start_us,
-            "dur": dur_us,
-            "pid": PID,
-            "tid": TID_SPANS,
-            "args": {
-                "calls": span["calls"],
-                "total_ns": span["total_ns"],
-                "self_ns": span["self_ns"],
-            },
-        })
-        cursor = start_us
-        for child in span.get("children", []):
-            cursor = emit(child, cursor)
-        return start_us + dur_us
-
-    cursor = 0.0
-    for root in spans:
-        cursor = emit(root, cursor)
-    return events
 
 
 def _counter(name, ts_us, value):
@@ -129,17 +67,11 @@ def timeseries_to_events(lines, path):
     return events
 
 
-def build_trace(profile_path, timeseries_path):
-    events = [_meta("process_name", {"name": "sld"})]
-    if profile_path:
-        with open(profile_path, encoding="utf-8") as f:
-            doc = json.load(f)
-        events.append(_meta("thread_name", {"name": "profiler spans"},
-                            tid=TID_SPANS))
-        events.extend(spans_to_events(doc, profile_path))
-    if timeseries_path:
-        with open(timeseries_path, encoding="utf-8") as f:
-            events.extend(timeseries_to_events(f, timeseries_path))
+def build_trace(timeseries_path):
+    events = [{"name": "process_name", "ph": "M", "pid": PID,
+               "args": {"name": "sld"}}]
+    with open(timeseries_path, encoding="utf-8") as f:
+        events.extend(timeseries_to_events(f, timeseries_path))
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
@@ -190,8 +122,6 @@ def main(argv=None):
     ap = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--profile", metavar="FILE",
-                    help="sld-profile/v1 snapshot (bench --profile)")
     ap.add_argument("--timeseries", metavar="FILE",
                     help="timeseries/v1 JSONL stream (bench --timeseries)")
     ap.add_argument("-o", "--output", metavar="FILE",
@@ -213,21 +143,19 @@ def main(argv=None):
                 failures += 1
         return 1 if failures else 0
 
-    if not args.profile and not args.timeseries:
-        ap.error("need --profile and/or --timeseries (or --validate)")
+    if not args.timeseries:
+        ap.error("need --timeseries (or --validate)")
     try:
-        trace = build_trace(args.profile, args.timeseries)
-    except (OSError, json.JSONDecodeError, ValueError) as e:
+        trace = build_trace(args.timeseries)
+    except (OSError, ValueError) as e:
         print(f"prof_report: {e}", file=sys.stderr)
         return 2
     out = json.dumps(trace, indent=1)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
             f.write(out + "\n")
-        spans = sum(1 for e in trace["traceEvents"] if e["ph"] == "X")
         counters = sum(1 for e in trace["traceEvents"] if e["ph"] == "C")
-        print(f"wrote {args.output}: {spans} spans, "
-              f"{counters} counter samples")
+        print(f"wrote {args.output}: {counters} counter samples")
     else:
         print(out)
     return 0

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # TSan tier: build the Tsan configuration (-fsanitize=thread, see the
 # top-level CMakeLists.txt build-type block) and run the concurrency
-# surface under it — the executor pool and equivalence suites, the
-# profiler's cross-thread merge, and the chaos campaign fanned over 4
-# pool workers (plain and alert-storm). Any data race aborts the run
+# surface under it — the executor pool and equivalence suites, memstats'
+# thread-local accounting, and the chaos campaign fanned over 4 pool
+# workers (plain and alert-storm). Any data race aborts the run
 # (halt_on_error=1), so a green exit means the parallel trial path is
 # race-clean, not just correct-by-luck.
 #
@@ -28,7 +28,7 @@ cmake -S "$repo" -B "$dir" -DCMAKE_BUILD_TYPE=Tsan \
   -DSLD_BUILD_BENCH=OFF -DSLD_BUILD_EXAMPLES=OFF "${launcher_args[@]}"
 echo "=== [tsan] build ==="
 cmake --build "$dir" -j "$jobs" --target \
-  test_executor_pool test_executor test_profiler test_memstats chaos_campaign
+  test_executor_pool test_executor test_memstats chaos_campaign
 
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
@@ -36,8 +36,6 @@ echo "=== [tsan] executor pool property tests ==="
 "$dir/tests/test_executor_pool"
 echo "=== [tsan] serial-vs-parallel equivalence suite ==="
 "$dir/tests/test_executor"
-echo "=== [tsan] profiler cross-thread merge ==="
-"$dir/tests/test_profiler"
 echo "=== [tsan] memstats thread-local accounting, 4 workers ==="
 "$dir/tests/test_memstats"
 echo "=== [tsan] chaos campaign, 4 workers ==="

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Unit tests for prof_report.py: span-tree flattening, counter tracks
-from timeseries windows, and the structural Chrome-trace validator.
+"""Unit tests for prof_report.py: counter tracks from timeseries windows
+and the structural Chrome-trace validator.
 
 Run from tools/:  python3 -m unittest test_prof_report
 (registered as the `prof_report_unittest` ctest target).
@@ -14,21 +14,6 @@ import tempfile
 import unittest
 
 import prof_report
-
-PROFILE = {
-    "schema": "sld-profile/v1",
-    "spans": [{
-        "name": "trial", "calls": 1, "total_ns": 10_000, "self_ns": 4_000,
-        "children": [
-            {"name": "sched.event", "calls": 7, "total_ns": 5_000,
-             "self_ns": 3_000, "children": [
-                 {"name": "channel.transmit", "calls": 3,
-                  "total_ns": 2_000, "self_ns": 2_000, "children": []}]},
-            {"name": "trial.teardown", "calls": 1, "total_ns": 1_000,
-             "self_ns": 1_000, "children": []},
-        ],
-    }],
-}
 
 TS_LINES = [
     {"t": 0, "e": "ts.meta", "schema": "timeseries/v1",
@@ -61,9 +46,6 @@ class Fixtures(unittest.TestCase):
         self.addCleanup(os.unlink, f.name)
         return f.name
 
-    def write_profile(self, doc=PROFILE):
-        return self.write(json.dumps(doc), ".json")
-
     def write_timeseries(self, lines=TS_LINES):
         return self.write(
             "".join(json.dumps(rec) + "\n" for rec in lines), ".jsonl")
@@ -73,37 +55,6 @@ class Fixtures(unittest.TestCase):
         f.close()
         self.addCleanup(os.unlink, f.name)
         return f.name
-
-
-class SpanFlattening(Fixtures):
-    def test_spans_become_nested_complete_events(self):
-        events = prof_report.spans_to_events(PROFILE, "mem")
-        by_name = {e["name"]: e for e in events}
-        self.assertEqual(len(events), 4)
-        for e in events:
-            self.assertEqual(e["ph"], "X")
-        trial = by_name["trial"]
-        sched = by_name["sched.event"]
-        xmit = by_name["channel.transmit"]
-        tear = by_name["trial.teardown"]
-        # dur is total_ns in microseconds.
-        self.assertAlmostEqual(trial["dur"], 10.0)
-        self.assertAlmostEqual(sched["dur"], 5.0)
-        # Children nest inside the parent's synthesized range; siblings
-        # are laid out sequentially.
-        self.assertGreaterEqual(sched["ts"], trial["ts"])
-        self.assertLessEqual(sched["ts"] + sched["dur"],
-                             trial["ts"] + trial["dur"])
-        self.assertGreaterEqual(xmit["ts"], sched["ts"])
-        self.assertAlmostEqual(tear["ts"], sched["ts"] + sched["dur"])
-        # Exact aggregates ride in args.
-        self.assertEqual(sched["args"],
-                         {"calls": 7, "total_ns": 5000, "self_ns": 3000})
-
-    def test_wrong_schema_rejected(self):
-        with self.assertRaises(ValueError):
-            prof_report.spans_to_events({"schema": "bogus", "spans": []},
-                                        "mem")
 
 
 class CounterTracks(Fixtures):
@@ -133,30 +84,20 @@ class CounterTracks(Fixtures):
 class EndToEnd(Fixtures):
     def test_convert_then_validate(self):
         out = self.out_path()
-        code, stdout, _ = run_main(["--profile", self.write_profile(),
-                                    "--timeseries",
-                                    self.write_timeseries(),
+        code, stdout, _ = run_main(["--timeseries", self.write_timeseries(),
                                     "-o", out])
         self.assertEqual(code, 0)
-        self.assertIn("4 spans", stdout)
+        self.assertIn("5 counter samples", stdout)
         code, stdout, _ = run_main(["--validate", out])
         self.assertEqual(code, 0)
         self.assertIn("ok:", stdout)
         doc = json.load(open(out, encoding="utf-8"))
         self.assertIn("traceEvents", doc)
 
-    def test_profile_only_and_timeseries_only(self):
-        for argv in (["--profile", self.write_profile()],
-                     ["--timeseries", self.write_timeseries()]):
-            out = self.out_path()
-            code, _, _ = run_main(argv + ["-o", out])
-            self.assertEqual(code, 0, argv)
-            code, _, _ = run_main(["--validate", out])
-            self.assertEqual(code, 0, argv)
-
-    def test_bad_profile_is_input_error(self):
-        bad = self.write("{not json", ".json")
-        code, _, err = run_main(["--profile", bad, "-o", self.out_path()])
+    def test_bad_timeseries_is_input_error(self):
+        bad = self.write("{not json\n", ".jsonl")
+        code, _, err = run_main(["--timeseries", bad,
+                                 "-o", self.out_path()])
         self.assertEqual(code, 2)
         self.assertIn("prof_report:", err)
 
