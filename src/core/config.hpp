@@ -6,6 +6,7 @@
 // thresholds tau1 = 10, tau2 = 2.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -28,6 +29,10 @@
 #include "sim/time.hpp"
 
 namespace sld::core {
+
+/// Largest `SystemConfig::rtt_probe_repeats`: a probe keeps its samples
+/// inline, in arrays of this size.
+inline constexpr std::size_t kMaxProbeRepeats = 5;
 
 /// Which distance-measurement feature the deployment uses (paper §1 lists
 /// RSSI, ToA, TDoA, AoA; §2.3 notes the detector works with any feature
@@ -139,7 +144,7 @@ struct SystemConfig {
   /// k: how many request/reply rounds each probe performs; the detector
   /// evaluates the *median* measured distance and RTT, so one delayed
   /// retransmission cannot trigger a false local-replay verdict. k = 1
-  /// reproduces the single-shot paper protocol.
+  /// reproduces the single-shot paper protocol. At most kMaxProbeRepeats.
   std::size_t rtt_probe_repeats = 1;
 
   /// Per-attempt loss probability of the alert transport (detecting

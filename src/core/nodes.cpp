@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -15,10 +16,10 @@
 namespace sld::core {
 
 namespace {
-/// Median of a small sample vector (mutates its argument; averages the two
-/// middle elements for even sizes). A one-element vector returns its
-/// element bit-for-bit, which keeps the default k = 1 probe exact.
-double median_of(std::vector<double>& samples) {
+/// Median of a probe's filled samples (reorders them; averages the two
+/// middle elements for even sizes). One sample is returned bit-for-bit,
+/// which keeps the default k = 1 probe exact.
+double median_of(std::span<double> samples) {
   const std::size_t n = samples.size();
   const std::size_t mid = n / 2;
   std::nth_element(samples.begin(), samples.begin() + static_cast<std::ptrdiff_t>(mid),
@@ -312,7 +313,12 @@ BeaconNode::BeaconNode(sim::NodeId id, util::Vec2 position, double range_ft,
     : sim::Node(id, position, range_ft),
       ctx_(ctx),
       detecting_ids_(std::move(detecting_ids)),
-      rng_(ctx.rng.fork(0xbea0000ULL + id)) {}
+      pending_(&ctx.node_memory),
+      rng_(ctx.rng.fork(0xbea0000ULL + id)) {
+  if (ctx.config.rtt_probe_repeats > kMaxProbeRepeats)
+    throw std::invalid_argument(
+        "BeaconNode: rtt_probe_repeats exceeds kMaxProbeRepeats");
+}
 
 void BeaconNode::set_probe_targets(std::vector<sim::NodeId> targets) {
   probe_targets_ = std::move(targets);
@@ -355,10 +361,10 @@ void BeaconNode::send_probe(sim::NodeId target, sim::NodeId detecting_id) {
   PendingProbe probe;
   probe.target = target;
   probe.detecting_id = detecting_id;
-  send_probe_round(std::move(probe), /*is_retransmission=*/false);
+  send_probe_round(probe, /*is_retransmission=*/false);
 }
 
-void BeaconNode::send_probe_round(PendingProbe probe,
+void BeaconNode::send_probe_round(const PendingProbe& probe,
                                   bool is_retransmission) {
   SLD_INVARIANT(probe.attempt <= ctx_.config.arq.max_retries,
                 "retries bounded: probe attempt " << probe.attempt
@@ -369,7 +375,7 @@ void BeaconNode::send_probe_round(PendingProbe probe,
   const auto target = probe.target;
   const auto detecting_id = probe.detecting_id;
   const auto attempt = probe.attempt;
-  pending_.emplace(nonce, std::move(probe));
+  pending_.add(nonce, probe);
   if (is_retransmission)
     ++ctx_.metrics.probe_retransmissions;
   else
@@ -397,10 +403,10 @@ void BeaconNode::send_probe_round(PendingProbe probe,
 
 void BeaconNode::on_probe_timeout(std::uint64_t nonce) {
   SLD_MEM_SCOPE("arq");
-  const auto it = pending_.find(nonce);
-  if (it == pending_.end()) return;  // a reply arrived in time
-  PendingProbe probe = std::move(it->second);
-  pending_.erase(it);
+  const PendingProbe* unanswered = pending_.find(nonce);
+  if (unanswered == nullptr) return;  // a reply arrived in time
+  PendingProbe probe = *unanswered;
+  pending_.erase(unanswered);
   if (ctx_.tracer.on()) {
     ctx_.tracer.emit(
         ctx_.tracer.event("arq.timeout")
@@ -422,7 +428,7 @@ void BeaconNode::on_probe_timeout(std::uint64_t nonce) {
               .f("kind", "probe")
               .f("attempt", static_cast<std::uint64_t>(probe.attempt)));
     }
-    send_probe_round(std::move(probe), /*is_retransmission=*/true);
+    send_probe_round(probe, /*is_retransmission=*/true);
     return;
   }
   // Every attempt exhausted: the explicit ProbeOutcome::kNoResponse path
@@ -472,10 +478,10 @@ void BeaconNode::handle_probe_reply(const sim::Delivery& delivery) {
     return;
   }
   const auto reply = sim::BeaconReplyPayload::parse(delivery.msg.payload);
-  const auto it = pending_.find(reply.nonce);
-  if (it == pending_.end()) return;  // duplicate or stale: first copy wins
-  PendingProbe probe = std::move(it->second);
-  pending_.erase(it);
+  const PendingProbe* found = pending_.find(reply.nonce);
+  if (found == nullptr) return;  // duplicate or stale: first copy wins
+  PendingProbe probe = *found;
+  pending_.erase(found);
   if (delivery.msg.src != probe.target) return;  // mismatched responder
   ++ctx_.metrics.probe_replies;
 
@@ -492,15 +498,15 @@ void BeaconNode::handle_probe_reply(const sim::Delivery& delivery) {
                          .f("dist_ft", m.distance_ft)
                          .f("rtt_cycles", m.rtt_cycles));
   }
-  probe.rtt_samples.push_back(m.rtt_cycles);
-  probe.dist_samples.push_back(m.distance_ft);
+  probe.rtt_samples[probe.samples] = m.rtt_cycles;
+  probe.dist_samples[probe.samples] = m.distance_ft;
+  ++probe.samples;
 
   // Median-of-k probing: keep exchanging until k rounds answered, then
   // judge the median measurement (k = 1: this round's values verbatim).
-  const std::size_t k = std::max<std::size_t>(1, ctx_.config.rtt_probe_repeats);
-  if (probe.rtt_samples.size() < k) {
+  if (probe.samples < ctx_.config.rtt_probe_repeats) {
     probe.attempt = 0;  // fresh ARQ budget for the next round
-    send_probe_round(std::move(probe), /*is_retransmission=*/false);
+    send_probe_round(probe, /*is_retransmission=*/false);
     return;
   }
 
@@ -510,9 +516,11 @@ void BeaconNode::handle_probe_reply(const sim::Delivery& delivery) {
   obs.receiver_position = position();
   obs.receiver_knows_position = true;
   obs.claimed_position = reply.claimed_position;
-  obs.measured_distance_ft = median_of(probe.dist_samples);
+  obs.measured_distance_ft =
+      median_of(std::span(probe.dist_samples).first(probe.samples));
   obs.target_range_ft = ctx_.config.deployment.comm_range_ft;
-  obs.observed_rtt_cycles = median_of(probe.rtt_samples);
+  obs.observed_rtt_cycles =
+      median_of(std::span(probe.rtt_samples).first(probe.samples));
   obs.via_wormhole = delivery.ctx.via_wormhole;
   obs.sender_faked_wormhole_indication = reply.fake_wormhole_indication;
 
@@ -571,6 +579,8 @@ SensorNode::SensorNode(sim::NodeId id, util::Vec2 position, double range_ft,
                        SystemContext& ctx)
     : sim::Node(id, position, range_ft),
       ctx_(ctx),
+      pending_(&ctx.node_memory),
+      accepted_(&ctx.node_memory),
       rng_(ctx.rng.fork(0x5e50000ULL + id)) {}
 
 void SensorNode::set_query_targets(std::vector<sim::NodeId> targets) {
@@ -580,6 +590,10 @@ void SensorNode::set_query_targets(std::vector<sim::NodeId> targets) {
 void SensorNode::start() { schedule_queries(); }
 
 void SensorNode::schedule_queries() {
+  // One query per target is in flight at a time, and each target yields
+  // at most one reference, so both tables stay within these sizes.
+  pending_.reserve(query_targets_.size());
+  accepted_.reserve(query_targets_.size());
   sim::SimTime at =
       std::max(scheduler().now(), ctx_.config.sensor_phase_start);
   for (const auto target : query_targets_) {
@@ -614,7 +628,7 @@ void SensorNode::send_query(PendingQuery query, bool is_retransmission) {
   const std::uint64_t nonce = req.nonce;
   const auto target = query.target;
   const auto attempt = query.attempt;
-  pending_.emplace(nonce, query);
+  pending_.add(nonce, query);
   if (is_retransmission)
     ++ctx_.metrics.sensor_retransmissions;
   else
@@ -639,10 +653,10 @@ void SensorNode::send_query(PendingQuery query, bool is_retransmission) {
 
 void SensorNode::on_query_timeout(std::uint64_t nonce) {
   SLD_MEM_SCOPE("arq");
-  const auto it = pending_.find(nonce);
-  if (it == pending_.end()) return;  // answered in time
-  PendingQuery query = it->second;
-  pending_.erase(it);
+  const PendingQuery* unanswered = pending_.find(nonce);
+  if (unanswered == nullptr) return;  // answered in time
+  PendingQuery query = *unanswered;
+  pending_.erase(unanswered);
   if (ctx_.tracer.on()) {
     ctx_.tracer.emit(
         ctx_.tracer.event("arq.timeout")
@@ -684,10 +698,10 @@ void SensorNode::on_message(const sim::Delivery& delivery) {
     return;
   }
   const auto reply = sim::BeaconReplyPayload::parse(delivery.msg.payload);
-  const auto it = pending_.find(reply.nonce);
-  if (it == pending_.end()) return;  // duplicate or stale: first copy wins
-  const sim::NodeId target = it->second.target;
-  pending_.erase(it);
+  const PendingQuery* query = pending_.find(reply.nonce);
+  if (query == nullptr) return;  // duplicate or stale: first copy wins
+  const sim::NodeId target = query->target;
+  pending_.erase(query);
   if (delivery.msg.src != target) return;
   // A compromised beacon holds valid keys, so a correctly MACed reply can
   // claim a non-finite position, or manipulate its signal by an infinite
@@ -782,10 +796,9 @@ void SensorNode::finalize() {
     return;
   }
   const sim::SimTime now = scheduler().now();
-  localization::LocationReferences refs;
-  refs.reserve(accepted_.size());
-  std::unordered_set<sim::NodeId> counted;
-  for (const auto& acc : accepted_) {
+  localization::LocationReferences& refs = ctx_.finalize_refs;
+  refs.clear();
+  for (const AcceptedReference& acc : accepted_) {
     const bool revoked = ctx_.bs().is_revoked(acc.ref.beacon_id) &&
                          ctx_.dissemination.sensor_knows(id(),
                                                          acc.ref.beacon_id);
@@ -813,7 +826,15 @@ void SensorNode::finalize() {
       }
       continue;
     }
-    if (acc.effective_malicious && counted.insert(acc.ref.beacon_id).second)
+    // A beacon counts once per sensor. Whether a reference is kept depends
+    // only on its beacon, so an earlier effective-malicious reference from
+    // the same beacon was kept and counted already.
+    const auto same_liar = [&acc](const AcceptedReference& earlier) {
+      return earlier.effective_malicious &&
+             earlier.ref.beacon_id == acc.ref.beacon_id;
+    };
+    if (acc.effective_malicious &&
+        std::none_of(std::as_const(accepted_).data(), &acc, same_liar))
       ++ctx_.metrics.affected_by_malicious[acc.ref.beacon_id];
     refs.push_back(acc.ref);
   }
@@ -863,11 +884,10 @@ void SensorNode::finalize() {
   }
 
   localization::MultilaterationSolver solver;
-  auto fit = solver.solve(refs);
-  if (fit) {
-    result_ = *fit;
+  if (auto fit = solver.solve(refs)) {
+    result_ = std::move(fit);
     ++ctx_.metrics.sensors_localized;
-    const double err_ft = util::distance(fit->position, position());
+    const double err_ft = util::distance(result_->position, position());
     ctx_.metrics.localization_error_ft.add(err_ft);
     ctx_.metrics.localization_errors_ft.push_back(err_ft);
     if (ctx_.tracer.on()) {

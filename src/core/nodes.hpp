@@ -3,7 +3,12 @@
 // beacons, non-beacon sensors, and the shared per-trial SystemContext.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <memory_resource>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -166,6 +171,15 @@ struct SystemContext {
   /// default metric snapshots (and the bench goldens) are unchanged.
   obs::Histogram* recovery_hist = nullptr;
 
+  /// Backs the nodes' in-flight tables and accepted references. They grow
+  /// on the message path, where this per-trial arena makes growth a
+  /// pointer bump instead of a heap allocation; the context releases it
+  /// all at once. Nodes run on the trial's thread, so it takes no lock.
+  std::pmr::monotonic_buffer_resource node_memory;
+  /// The reference list each SensorNode::finalize refills. Every finalize
+  /// runs on the trial's thread, so one buffer serves them all.
+  localization::LocationReferences finalize_refs;
+
   /// Streaming telemetry sampler and SLO monitor — constructed by the
   /// system only when config.telemetry.enabled (same goldens discipline as
   /// the conditional instruments above). The chaos campaign reads the
@@ -205,6 +219,48 @@ struct SystemContext {
                             double rtt_skew_cycles = 0.0) const;
 };
 
+/// The requests a node has in flight, by nonce. A node has under ten
+/// outstanding at a time (5 ms stagger, ~34 ms round trip), so a linear
+/// scan finds one, and removal moves the last entry into the hole. Nothing
+/// reads the order.
+template <typename Entry>
+class PendingTable {
+ public:
+  explicit PendingTable(std::pmr::memory_resource* memory)
+      : nonces_(memory), entries_(memory) {}
+
+  void reserve(std::size_t n) {
+    nonces_.reserve(n);
+    entries_.reserve(n);
+  }
+  void add(std::uint64_t nonce, const Entry& entry) {
+    nonces_.push_back(nonce);
+    entries_.push_back(entry);
+  }
+  /// The entry sent under `nonce`, or nullptr.
+  const Entry* find(std::uint64_t nonce) const {
+    const auto it = std::find(nonces_.begin(), nonces_.end(), nonce);
+    if (it == nonces_.end()) return nullptr;
+    return &entries_[static_cast<std::size_t>(it - nonces_.begin())];
+  }
+  /// Removes an entry find() returned.
+  void erase(const Entry* entry) {
+    const auto i = static_cast<std::size_t>(entry - entries_.data());
+    nonces_[i] = nonces_.back();
+    entries_[i] = entries_.back();
+    nonces_.pop_back();
+    entries_.pop_back();
+  }
+  void clear() {
+    nonces_.clear();
+    entries_.clear();
+  }
+
+ private:
+  std::pmr::vector<std::uint64_t> nonces_;
+  std::pmr::vector<Entry> entries_;
+};
+
 /// A benign beacon node: answers beacon requests truthfully and probes the
 /// beacons around it through its m detecting IDs (paper §2.1).
 ///
@@ -242,8 +298,9 @@ class BeaconNode final : public sim::Node, public sim::Recoverable {
     sim::NodeId target = 0;
     sim::NodeId detecting_id = 0;
     std::size_t attempt = 0;  // retransmissions used for the current round
-    std::vector<double> rtt_samples;
-    std::vector<double> dist_samples;
+    std::size_t samples = 0;  // rounds answered: the filled prefix below
+    std::array<double, kMaxProbeRepeats> rtt_samples{};
+    std::array<double, kMaxProbeRepeats> dist_samples{};
   };
 
   void handle_request(const sim::Delivery& delivery);
@@ -252,13 +309,13 @@ class BeaconNode final : public sim::Node, public sim::Recoverable {
   /// max(now, probe_phase_start) — start() and post-reboot restarts share it.
   void schedule_probes();
   void send_probe(sim::NodeId target, sim::NodeId detecting_id);
-  void send_probe_round(PendingProbe probe, bool is_retransmission);
+  void send_probe_round(const PendingProbe& probe, bool is_retransmission);
   void on_probe_timeout(std::uint64_t nonce);
 
   SystemContext& ctx_;
   std::vector<sim::NodeId> detecting_ids_;
   std::vector<sim::NodeId> probe_targets_;
-  std::unordered_map<std::uint64_t, PendingProbe> pending_;  // by nonce
+  PendingTable<PendingProbe> pending_;
   std::unordered_set<sim::NodeId> reported_;  // one alert per target
   util::Rng rng_;
 };
@@ -331,8 +388,8 @@ class SensorNode final : public sim::Node, public sim::Recoverable {
 
   SystemContext& ctx_;
   std::vector<sim::NodeId> query_targets_;
-  std::unordered_map<std::uint64_t, PendingQuery> pending_;  // by nonce
-  std::vector<AcceptedReference> accepted_;
+  PendingTable<PendingQuery> pending_;
+  std::pmr::vector<AcceptedReference> accepted_;
   std::optional<localization::LocalizationResult> result_;
   util::Rng rng_;
 };

@@ -1,6 +1,7 @@
 #include "core/secure_localization.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -31,6 +32,27 @@ const SystemConfig& validated(const SystemConfig& config) {
         config.alert_loss_probability <= 1.0))
     throw std::invalid_argument(
         "SystemConfig: alert_loss_probability outside [0, 1]");
+  if (!(config.rtt_probe_repeats >= 1 &&
+        config.rtt_probe_repeats <= kMaxProbeRepeats))
+    throw std::invalid_argument(
+        "SystemConfig: rtt_probe_repeats outside [1, kMaxProbeRepeats]");
+  if (config.detecting_ids == 0)
+    throw std::invalid_argument("SystemConfig: detecting_ids must be >= 1");
+  if (!(config.sensor_phase_start >= config.probe_phase_start))
+    throw std::invalid_argument(
+        "SystemConfig: sensor_phase_start before probe_phase_start");
+  if (!(std::isfinite(config.deployment.comm_range_ft) &&
+        config.deployment.comm_range_ft > 0.0))
+    throw std::invalid_argument(
+        "SystemConfig: deployment.comm_range_ft must be finite and positive");
+  // A beacon is quarantined above tau2 and cleared below clear_threshold;
+  // a clear_threshold above tau2 would clear every quarantine at once.
+  if (config.revocation.lifecycle.enabled &&
+      !(config.revocation.lifecycle.clear_threshold <=
+        static_cast<double>(config.revocation.alert_threshold)))
+    throw std::invalid_argument(
+        "SystemConfig: revocation.lifecycle.clear_threshold above "
+        "revocation.alert_threshold");
   return config;
 }
 }  // namespace

@@ -5,11 +5,27 @@
 
 #include "check/invariant.hpp"
 #include "obs/memstats.hpp"
+#include "sim/deployment.hpp"
 #include "util/geometry.hpp"
 
 namespace sld::sim {
 
 namespace {
+/// A real ID joins its dense run while its slot is below twice the number
+/// of registered nodes plus this slack; a farther one goes to the map, so
+/// a run stays O(nodes) long.
+constexpr std::size_t kDenseSlack = 1024;
+
+/// The dense run a real ID belongs to, and its slot there.
+struct RunSlot {
+  std::size_t run;
+  std::size_t slot;
+};
+RunSlot run_slot(NodeId id) {
+  if (is_beacon_id(id)) return {0, id};
+  return {1, id - kNonBeaconIdBase};
+}
+
 const char* msg_type_name(MsgType type) {
   switch (type) {
     case MsgType::kBeaconRequest:
@@ -41,14 +57,24 @@ Channel::Channel(Scheduler& scheduler, ChannelConfig config, util::Rng rng)
 
 void Channel::add_node(Node* node) {
   if (node == nullptr) throw std::invalid_argument("Channel::add_node: null");
-  if (!nodes_.emplace(node->id(), node).second)
+  if (find(node->id()) != nullptr)
     throw std::invalid_argument("Channel::add_node: duplicate node id");
+  const auto [run, slot] = run_slot(node->id());
+  std::vector<Node*>& ids = id_runs_[run];
+  if (slot < ids.size() || slot < kDenseSlack + 2 * radio_.size()) {
+    if (slot >= ids.size()) ids.resize(slot + 1, nullptr);
+    ids[slot] = node;
+  } else {
+    sparse_ids_.emplace(node->id(), node);
+  }
+  if (node->index() >= radio_.size()) radio_.resize(node->index() + 1);
 }
 
 void Channel::add_alias(NodeId alias, Node* node) {
   if (node == nullptr) throw std::invalid_argument("Channel::add_alias: null");
-  if (!nodes_.emplace(alias, node).second)
+  if (find(alias) != nullptr)
     throw std::invalid_argument("Channel::add_alias: id already in use");
+  sparse_ids_.emplace(alias, node);
 }
 
 void Channel::add_wormhole(WormholeLink link) {
@@ -103,12 +129,17 @@ bool Channel::connected(const Node& a, const Node& b) const {
 }
 
 Node* Channel::find(NodeId id) const {
-  const auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : it->second;
+  const auto [run, slot] = run_slot(id);
+  const std::vector<Node*>& ids = id_runs_[run];
+  if (slot < ids.size() && ids[slot] != nullptr) return ids[slot];
+  const auto it = sparse_ids_.find(id);
+  return it == sparse_ids_.end() ? nullptr : it->second;
 }
 
 void Channel::unicast(const Node& sender, Message msg) {
   SLD_MEM_SCOPE("channel");
+  if (find(sender.id()) != &sender)
+    throw std::logic_error("Channel::unicast: sender is not registered");
   // A crashed node does not transmit at all.
   if (faults_.enabled() &&
       faults_.node_crashed(sender.id(), scheduler_.now())) {
@@ -131,20 +162,21 @@ void Channel::unicast(const Node& sender, Message msg) {
   TxContext ctx;
   ctx.radiating_position = sender.position();
   ctx.radiating_range = sender.range();
-  auto& radio = radio_[sender.id()];
+  NodeRadioStats& radio = radio_[sender.index()];
   ++radio.packets_sent;
   radio.bytes_sent += msg.payload.size() + config_.frame_overhead_bytes;
   transmit(ctx, msg);
 }
 
 NodeRadioStats Channel::node_radio(NodeId id) const {
-  const auto it = radio_.find(id);
-  return it == radio_.end() ? NodeRadioStats{} : it->second;
+  const Node* node = find(id);
+  if (node == nullptr || node->id() != id) return {};
+  return radio_[node->index()];
 }
 
 NodeRadioStats Channel::total_radio() const {
   NodeRadioStats total;
-  for (const auto& [id, r] : radio_) {
+  for (const NodeRadioStats& r : radio_) {
     total.packets_sent += r.packets_sent;
     total.packets_received += r.packets_received;
     total.bytes_sent += r.bytes_sent;
@@ -358,7 +390,7 @@ void Channel::schedule_delivery(Node& dst, const TxContext& ctx,
                     .f("wormhole", ctx.via_wormhole)
                     .f("delay_ns", static_cast<std::int64_t>(delay)));
   }
-  auto& radio = radio_[dst.id()];
+  NodeRadioStats& radio = radio_[dst.index()];
   ++radio.packets_received;
   radio.bytes_received += msg.payload.size() + config_.frame_overhead_bytes;
   const std::uint32_t slot = in_flight_.acquire();

@@ -120,7 +120,8 @@ class Channel {
  public:
   Channel(Scheduler& scheduler, ChannelConfig config, util::Rng rng);
 
-  /// Registers a node (non-owning; the Network owns nodes).
+  /// Registers a node (non-owning; the Network owns nodes). Its radio
+  /// activity is kept by its registration index (Node::index).
   void add_node(Node* node);
 
   /// Registers an extra address for an already-registered node. Used for
@@ -135,7 +136,8 @@ class Channel {
 
   /// Sends `msg` from `sender` using the sender's true position/range.
   /// The message is delivered directly if the destination is in range and
-  /// additionally through every wormhole whose mouths connect them.
+  /// additionally through every wormhole whose mouths connect them. Throws
+  /// std::logic_error if `sender` is not registered on this channel.
   void unicast(const Node& sender, Message msg);
 
   /// Injects a transmission with an arbitrary physical context — used by
@@ -150,6 +152,8 @@ class Channel {
   /// True if a transmission from `a` reaches `b` directly or via a tunnel.
   bool connected(const Node& a, const Node& b) const;
 
+  /// The node registered under `id`, or the owner of the alias `id`;
+  /// nullptr if neither.
   Node* find(NodeId id) const;
 
   const ChannelStats& stats() const { return stats_; }
@@ -157,13 +161,9 @@ class Channel {
   /// The channel's fault injector (crash queries, plan introspection).
   const FaultInjector& faults() const { return faults_; }
 
-  /// Radio activity of one node (zeros for unknown ids).
+  /// Radio activity of one node (zeros for unknown ids and for aliases,
+  /// whose traffic is their owner's).
   NodeRadioStats node_radio(NodeId id) const;
-
-  /// Per-node radio activity of every node that sent or received anything.
-  const std::unordered_map<NodeId, NodeRadioStats>& radio_all() const {
-    return radio_;
-  }
 
   /// Installs the event tracer (off by default). Emits one record per
   /// packet fate: pkt.send / pkt.deliver / pkt.loss / pkt.out_of_range /
@@ -205,11 +205,20 @@ class Channel {
   ChannelConfig config_;
   util::Rng rng_;
   FaultInjector faults_;
-  std::unordered_map<NodeId, Node*> nodes_;
+  /// Registered nodes by ID. Deployments number beacons from
+  /// kFirstBeaconId and sensors from kNonBeaconIdBase, consecutively, so a
+  /// real ID indexes one of two dense runs: id_runs_[0] by the ID itself
+  /// for beacon-range IDs, id_runs_[1] by ID - kNonBeaconIdBase for the
+  /// rest. Detecting-ID aliases, drawn at random from [2^20, 2^31), live in
+  /// sparse_ids_, with any real ID too far from its run to index without
+  /// wasting memory.
+  std::vector<Node*> id_runs_[2];
+  std::unordered_map<NodeId, Node*> sparse_ids_;
   std::vector<WormholeLink> wormholes_;
   std::vector<RadioObserver*> observers_;
   ChannelStats stats_;
-  std::unordered_map<NodeId, NodeRadioStats> radio_;
+  /// Radio activity by registration index.
+  std::vector<NodeRadioStats> radio_;
   /// A scheduled delivery waiting for its arrival time.
   struct InFlight {
     Node* dst = nullptr;

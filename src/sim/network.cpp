@@ -14,30 +14,28 @@ Network::Network(ChannelConfig channel_config, std::uint64_t seed)
 
 void Network::register_node(std::unique_ptr<Node> node) {
   Node* raw = node.get();
-  if (index_of_.contains(raw->id()))
-    throw std::invalid_argument("Network: duplicate node id");
-  channel_.add_node(raw);
-  raw->attach(&channel_, &scheduler_);
-  index_of_.emplace(raw->id(), order_.size());
+  raw->attach(&channel_, &scheduler_, order_.size());
+  channel_.add_node(raw);  // rejects an ID already in use
   order_.push_back(raw);
   owned_.push_back(std::move(node));
 }
 
 Node* Network::node(NodeId id) const {
-  const auto it = index_of_.find(id);
-  return it == index_of_.end() ? nullptr : order_[it->second];
+  Node* found = channel_.find(id);
+  return found != nullptr && found->id() == id ? found : nullptr;
 }
 
 std::span<const NodeId> Network::connected_nodes(NodeId id) const {
-  const auto it = index_of_.find(id);
-  if (it == index_of_.end())
+  const Node* center = node(id);
+  if (center == nullptr)
     throw std::invalid_argument("Network::connected_nodes: unknown node");
   if (table_nodes_ != order_.size() ||
       table_wormholes_ != channel_.wormholes().size())
     build_neighbor_table();
-  const std::size_t first = neighbor_start_[it->second];
+  const std::size_t i = center->index();
+  const std::size_t first = neighbor_start_[i];
   return std::span<const NodeId>(neighbor_ids_)
-      .subspan(first, neighbor_start_[it->second + 1] - first);
+      .subspan(first, neighbor_start_[i + 1] - first);
 }
 
 namespace {

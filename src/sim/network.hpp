@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/channel.hpp"
@@ -38,6 +37,7 @@ class Network {
   /// Registers an extra address (e.g. a detecting ID) for `owner`.
   void add_alias(NodeId alias, Node& owner) { channel_.add_alias(alias, &owner); }
 
+  /// The node registered under `id`, or nullptr (also for an alias).
   Node* node(NodeId id) const;
   std::size_t node_count() const { return order_.size(); }
   const std::vector<Node*>& nodes() const { return order_; }
@@ -64,11 +64,9 @@ class Network {
   Channel channel_;
   std::vector<std::unique_ptr<Node>> owned_;
   std::vector<Node*> order_;
-  /// Registration index of each node ID.
-  std::unordered_map<NodeId, std::size_t> index_of_;
 
   /// connected_nodes of every node in compressed sparse rows: the list of
-  /// the node with registration index i is
+  /// the node with registration index (Node::index) i is
   /// neighbor_ids_[neighbor_start_[i], neighbor_start_[i + 1]). Also the
   /// node and wormhole counts the table was built for.
   mutable std::vector<std::size_t> neighbor_start_;

@@ -14,11 +14,12 @@ Node::Node(NodeId id, util::Vec2 position, double range_ft)
     throw std::invalid_argument("Node: range must be positive");
 }
 
-void Node::attach(Channel* channel, Scheduler* scheduler) {
+void Node::attach(Channel* channel, Scheduler* scheduler, std::size_t index) {
   if (channel == nullptr || scheduler == nullptr)
     throw std::invalid_argument("Node::attach: null environment");
   channel_ = channel;
   scheduler_ = scheduler;
+  index_ = index;
 }
 
 Channel& Node::channel() const {

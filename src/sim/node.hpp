@@ -4,6 +4,7 @@
 // the channel/scheduler.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 
@@ -37,8 +38,13 @@ class Node {
   /// Invoked once when the simulation starts; schedule initial work here.
   virtual void start() {}
 
-  /// Wires the node to its environment; called by Network.
-  void attach(Channel* channel, Scheduler* scheduler);
+  /// Wires the node to its environment; called by Network, which numbers
+  /// its nodes 0, 1, 2, ... in registration order.
+  void attach(Channel* channel, Scheduler* scheduler, std::size_t index);
+
+  /// The registration index Network gave this node. The channel's and the
+  /// neighbour table's per-node arrays are indexed by it.
+  std::size_t index() const { return index_; }
 
   /// True while the node is inside a crash window whose transition has
   /// fired (Network::start_all schedules the transitions).
@@ -96,6 +102,7 @@ class Node {
   double range_;
   Channel* channel_ = nullptr;
   Scheduler* scheduler_ = nullptr;
+  std::size_t index_ = 0;
   bool down_ = false;
   SimTime crash_time_ = 0;
   std::uint32_t boot_epoch_ = 0;

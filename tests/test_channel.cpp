@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "sim/deployment.hpp"
 #include "sim/network.hpp"
 
 namespace sld::sim {
@@ -202,6 +203,65 @@ TEST_F(ChannelTest, AliasRoutesToOwner) {
 TEST_F(ChannelTest, AliasCollisionRejected) {
   auto& a = net.emplace_node<RecorderNode>(1, util::Vec2{0, 0}, 150.0);
   EXPECT_THROW(net.add_alias(1, a), std::invalid_argument);
+}
+
+TEST_F(ChannelTest, FindResolvesDenseRunsAliasesAndFarIds) {
+  // Beacon-range and sensor-range IDs index dense runs; a detecting-ID
+  // alias and a real ID far from both runs resolve through the map.
+  auto& beacon = net.emplace_node<RecorderNode>(kFirstBeaconId + 4,
+                                                util::Vec2{0, 0}, 150.0);
+  auto& sensor = net.emplace_node<RecorderNode>(kNonBeaconIdBase + 2,
+                                                util::Vec2{50, 0}, 150.0);
+  auto& far = net.emplace_node<RecorderNode>(0x7ffffff0, util::Vec2{100, 0},
+                                             150.0);
+  const NodeId alias = 0x40000000;  // a detecting ID of the beacon
+  net.add_alias(alias, beacon);
+  const Channel& ch = net.channel();
+  EXPECT_EQ(ch.find(beacon.id()), &beacon);
+  EXPECT_EQ(ch.find(sensor.id()), &sensor);
+  EXPECT_EQ(ch.find(far.id()), &far);
+  EXPECT_EQ(ch.find(alias), &beacon);
+  EXPECT_EQ(ch.find(kFirstBeaconId + 3), nullptr);    // a hole in a run
+  EXPECT_EQ(ch.find(kNonBeaconIdBase + 3), nullptr);  // past a run's end
+  EXPECT_EQ(ch.find(0x7ffffff1), nullptr);
+  EXPECT_THROW(net.emplace_node<RecorderNode>(0x7ffffff0, util::Vec2{}, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(net.add_alias(sensor.id(), far), std::invalid_argument);
+
+  // Traffic to the alias and to the far ID arrives; the alias's radio
+  // activity is its owner's.
+  net.channel().unicast(sensor, make_msg(sensor.id(), alias));
+  net.channel().unicast(beacon, make_msg(beacon.id(), far.id()));
+  net.run();
+  ASSERT_EQ(beacon.deliveries.size(), 1u);
+  EXPECT_EQ(beacon.deliveries[0].msg.dst, alias);
+  EXPECT_EQ(far.deliveries.size(), 1u);
+  EXPECT_EQ(ch.node_radio(beacon.id()).packets_received, 1u);
+  EXPECT_EQ(ch.node_radio(far.id()).packets_received, 1u);
+  const NodeRadioStats of_alias = ch.node_radio(alias);
+  EXPECT_EQ(of_alias.packets_sent + of_alias.packets_received +
+                of_alias.bytes_sent + of_alias.bytes_received,
+            0u);
+
+  // Network resolves real IDs through the same table; an alias is no node.
+  EXPECT_EQ(net.node(far.id()), &far);
+  EXPECT_EQ(net.node(alias), nullptr);
+  EXPECT_EQ(net.connected_nodes(far.id()).size(), 2u);
+  EXPECT_THROW(net.connected_nodes(alias), std::invalid_argument);
+}
+
+TEST_F(ChannelTest, UnicastFromUnregisteredNodeThrows) {
+  net.emplace_node<RecorderNode>(2, util::Vec2{100, 0}, 150.0);
+  RecorderNode stranger(1, util::Vec2{0, 0}, 150.0);
+  EXPECT_THROW(net.channel().unicast(stranger, make_msg(1, 2)),
+               std::logic_error);
+  // A node of another network that shares a registered node's ID is a
+  // stranger too.
+  Network other;
+  auto& twin = other.emplace_node<RecorderNode>(2, util::Vec2{0, 0}, 150.0);
+  EXPECT_THROW(net.channel().unicast(twin, make_msg(2, 2)), std::logic_error);
+  EXPECT_EQ(net.channel().stats().transmissions, 0u);
+  EXPECT_EQ(net.channel().total_radio().packets_sent, 0u);
 }
 
 TEST_F(ChannelTest, ConnectedCombinesDirectAndWormhole) {

@@ -242,7 +242,7 @@ TEST(Network, ConnectedNodesMatchPairwiseScan) {
 
 TEST(Node, AttachValidation) {
   CountingNode n(1, {0, 0}, 100.0);
-  EXPECT_THROW(n.attach(nullptr, nullptr), std::invalid_argument);
+  EXPECT_THROW(n.attach(nullptr, nullptr, 0), std::invalid_argument);
 }
 
 TEST(Node, RejectsNonPositiveRange) {

@@ -259,6 +259,110 @@ TEST_F(NodeProtocolTest, SensorIgnoresDuplicateReplies) {
   EXPECT_EQ(ctx_.metrics.sensor_replies, 1u);
 }
 
+TEST_F(NodeProtocolTest, DetectingBeaconJudgesDuplicatedReplyOnce) {
+  // The same wormhole makes the probe and its reply arrive three times
+  // each: nine copies of the reply under one nonce. Only the first is
+  // judged.
+  const sim::NodeId det_id = sim::kNonBeaconIdBase + 400;
+  auto& detector = net_.emplace_node<BeaconNode>(
+      1, util::Vec2{100, 100}, 150.0, ctx_, std::vector<sim::NodeId>{det_id});
+  net_.add_alias(det_id, detector);
+  auto& honest = net_.emplace_node<BeaconNode>(
+      2, util::Vec2{150, 100}, 150.0, ctx_, std::vector<sim::NodeId>{});
+  ctx_.truth[honest.id()] = BeaconTruth{honest.position(), false};
+  sim::WormholeLink link;
+  link.mouth_a = {120, 100};  // hears both endpoints
+  link.mouth_b = {130, 100};
+  link.exit_range_ft = 150.0;
+  net_.channel().add_wormhole(link);
+
+  detector.set_probe_targets({honest.id()});
+  detector.start();
+  net_.run();
+
+  EXPECT_EQ(ctx_.metrics.probes_sent, 1u);
+  EXPECT_EQ(ctx_.metrics.probe_replies, 1u);
+}
+
+TEST_F(NodeProtocolTest, ReplyToATimedOutRequestIsIgnored) {
+  // The first timeout (15 ms) expires before the ~34 ms round trip, so
+  // each request is retransmitted under a fresh nonce; the retry waits
+  // 60 ms. The late reply to the first nonce matches nothing, and only
+  // the retransmission's reply is judged.
+  config_.arq.enabled = true;
+  config_.arq.initial_timeout_ns = 15 * sim::kMillisecond;
+  config_.arq.backoff_factor = 4.0;
+  config_.arq.jitter_fraction = 0.0;
+  config_.arq.max_retries = 1;
+  const sim::NodeId det_id = sim::kNonBeaconIdBase + 500;
+  auto& detector = net_.emplace_node<BeaconNode>(
+      1, util::Vec2{100, 100}, 150.0, ctx_, std::vector<sim::NodeId>{det_id});
+  net_.add_alias(det_id, detector);
+  auto& honest = net_.emplace_node<BeaconNode>(
+      2, util::Vec2{150, 100}, 150.0, ctx_, std::vector<sim::NodeId>{});
+  ctx_.truth[honest.id()] = BeaconTruth{honest.position(), false};
+  auto& sensor = net_.emplace_node<SensorNode>(
+      sim::kNonBeaconIdBase, util::Vec2{120, 130}, 150.0, ctx_);
+
+  detector.set_probe_targets({honest.id()});
+  sensor.set_query_targets({honest.id()});
+  detector.start();
+  sensor.start();
+  net_.run();
+
+  EXPECT_EQ(ctx_.metrics.probes_sent, 1u);
+  EXPECT_EQ(ctx_.metrics.probe_retransmissions, 1u);
+  EXPECT_EQ(ctx_.metrics.probe_replies, 1u);
+  EXPECT_EQ(ctx_.metrics.probe_no_response, 0u);
+  EXPECT_EQ(ctx_.metrics.sensor_requests, 1u);
+  EXPECT_EQ(ctx_.metrics.sensor_retransmissions, 1u);
+  EXPECT_EQ(ctx_.metrics.sensor_replies, 1u);
+  EXPECT_EQ(ctx_.metrics.sensor_no_response, 0u);
+}
+
+TEST_F(NodeProtocolTest, CrashForgetsRequestsInFlight) {
+  // A detecting beacon and a sensor each crash and reboot while their
+  // first request is in flight. The reply to it then matches nothing;
+  // only the request sent after the reboot is answered.
+  const sim::NodeId det_id = sim::kNonBeaconIdBase + 600;
+  auto& detector = net_.emplace_node<BeaconNode>(
+      1, util::Vec2{100, 100}, 150.0, ctx_, std::vector<sim::NodeId>{det_id});
+  net_.add_alias(det_id, detector);
+  auto& honest = net_.emplace_node<BeaconNode>(
+      2, util::Vec2{150, 100}, 150.0, ctx_, std::vector<sim::NodeId>{});
+  ctx_.truth[honest.id()] = BeaconTruth{honest.position(), false};
+  auto& sensor = net_.emplace_node<SensorNode>(
+      sim::kNonBeaconIdBase, util::Vec2{120, 130}, 150.0, ctx_);
+
+  detector.set_probe_targets({honest.id()});
+  sensor.set_query_targets({honest.id()});
+  detector.start();
+  sensor.start();
+  // The first probe leaves at 5 ms, the first query at sensor phase + 5 ms.
+  const auto down_for_1ms = [this](sim::Node& node, sim::SimTime at) {
+    net_.scheduler().schedule_at(at, [&node] { node.crash_now(); });
+    net_.scheduler().schedule_at(at + sim::kMillisecond,
+                                 [&node] { node.reboot_now(); });
+  };
+  down_for_1ms(detector, 6 * sim::kMillisecond);
+  down_for_1ms(sensor, config_.sensor_phase_start + 6 * sim::kMillisecond);
+  net_.run();
+
+  EXPECT_EQ(ctx_.metrics.probes_sent, 2u);
+  EXPECT_EQ(ctx_.metrics.probe_replies, 1u);
+  EXPECT_EQ(ctx_.metrics.sensor_requests, 2u);
+  EXPECT_EQ(ctx_.metrics.sensor_replies, 1u);
+}
+
+TEST_F(NodeProtocolTest, BeaconRejectsMoreProbeRoundsThanItHolds) {
+  // A probe keeps its samples inline; a node built from an unchecked
+  // config must not write past them.
+  config_.rtt_probe_repeats = kMaxProbeRepeats + 1;
+  EXPECT_THROW(BeaconNode(1, util::Vec2{0, 0}, 150.0, ctx_,
+                          std::vector<sim::NodeId>{}),
+               std::invalid_argument);
+}
+
 TEST_F(NodeProtocolTest, DetectingBeaconAlertsOnNonFiniteClaim) {
   // The insider's reply passes MAC verification, so only the consistency
   // check stands between its NaN claim and a "consistent" verdict.

@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "core/experiment.hpp"
 #include "obs/slo.hpp"
@@ -126,6 +127,77 @@ TEST(SystemConfigValidation, ProbabilitiesOutsideUnitIntervalAreRejected) {
       EXPECT_THROW(SecureLocalizationSystem{c}, std::invalid_argument);
     }
   }
+}
+
+/// Expects the constructor to reject `c` with an error naming `field`.
+void expect_rejected(const SystemConfig& c, const std::string& field) {
+  try {
+    SecureLocalizationSystem system(c);
+    ADD_FAILURE() << "accepted a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SystemConfigValidation, ProbeRepeatsOutsideOneToMaxAreRejected) {
+  // A probe keeps its k samples inline. k = 0 used to run as k = 1.
+  for (const std::size_t bad : {std::size_t{0}, kMaxProbeRepeats + 1}) {
+    SystemConfig c = small_config();
+    c.rtt_probe_repeats = bad;
+    expect_rejected(c, "rtt_probe_repeats");
+  }
+  SystemConfig c = small_config();
+  c.rtt_probe_repeats = kMaxProbeRepeats;
+  EXPECT_NO_THROW(SecureLocalizationSystem{c});
+}
+
+TEST(SystemConfigValidation, ZeroDetectingIdsAreRejected) {
+  // Without detecting IDs no beacon probes, and the detection rate is 0.
+  SystemConfig c = small_config();
+  c.detecting_ids = 0;
+  expect_rejected(c, "detecting_ids");
+  c.detecting_ids = 1;
+  EXPECT_NO_THROW(SecureLocalizationSystem{c});
+}
+
+TEST(SystemConfigValidation, SensorPhaseBeforeProbePhaseIsRejected) {
+  SystemConfig c = small_config();
+  c.probe_phase_start = 10 * sim::kSecond;
+  c.sensor_phase_start = c.probe_phase_start - 1;
+  expect_rejected(c, "sensor_phase_start");
+  c.sensor_phase_start = c.probe_phase_start;
+  EXPECT_NO_THROW(SecureLocalizationSystem{c});
+}
+
+TEST(SystemConfigValidation, NonFiniteOrNonPositiveRangeIsRejected) {
+  // A NaN range used to fail deep inside the RTT calibration, under a
+  // histogram's name.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 0.0,
+                           -150.0}) {
+    SystemConfig c = small_config();
+    c.deployment.comm_range_ft = bad;
+    expect_rejected(c, "comm_range_ft");
+  }
+}
+
+TEST(SystemConfigValidation, ClearThresholdAboveQuarantineThresholdIsRejected) {
+  // Quarantine needs evidence above tau2 and clears below clear_threshold,
+  // so a clear_threshold above tau2 clears every quarantine at once.
+  SystemConfig c = small_config();
+  c.revocation.lifecycle.enabled = true;
+  for (const double bad : {100.0, std::numeric_limits<double>::quiet_NaN()}) {
+    c.revocation.lifecycle.clear_threshold = bad;
+    expect_rejected(c, "clear_threshold");
+  }
+  c.revocation.lifecycle.clear_threshold =
+      static_cast<double>(c.revocation.alert_threshold);
+  EXPECT_NO_THROW(SecureLocalizationSystem{c});
+  // The lifecycle off ignores the threshold.
+  c.revocation.lifecycle.enabled = false;
+  c.revocation.lifecycle.clear_threshold = 100.0;
+  EXPECT_NO_THROW(SecureLocalizationSystem{c});
 }
 
 TEST(SystemIntegration, WormholeAloneCausesNoRevocations) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Mutation smoke test: applies 19 curated single-line mutants to the
+# Mutation smoke test: applies 21 curated single-line mutants to the
 # detection/revocation/sim/crypto/core/obs/ranging sources and verifies the
 # test suite kills every one (at least one registered test fails per
 # mutant). A mutant that survives means a guard has no test teeth — the
@@ -155,6 +155,20 @@ add_mutant "readthrough-no-latch" \
   "    if (read_) value_ = std::max(value_, read_());" \
   "    if (read_) value_ = read_();" \
   "test_obs"
+
+add_mutant "pending-reply-keeps-entry" \
+  "src/core/nodes.cpp" \
+  "  pending_.erase(found);
+  if (delivery.msg.src != probe.target) return;  // mismatched responder" \
+  "  if (delivery.msg.src != probe.target) return;  // mismatched responder" \
+  "test_nodes"
+
+add_mutant "channel-find-skips-aliases" \
+  "src/sim/channel.cpp" \
+  "  const auto it = sparse_ids_.find(id);
+  return it == sparse_ids_.end() ? nullptr : it->second;" \
+  "  return nullptr;" \
+  "test_channel"
 
 # --- helpers --------------------------------------------------------------
 
