@@ -78,7 +78,7 @@ inline long long parse_positive_ll(const char* flag, const char* text) {
 }
 
 /// As parse_strict_double but additionally rejects zero and negative
-/// values — rates, burst lengths and Zipf exponents must be positive.
+/// values — rates and Zipf exponents must be positive.
 inline double parse_positive_double(const char* flag, const char* text) {
   const double v = parse_strict_double(flag, text);
   if (v <= 0.0) {
@@ -102,10 +102,10 @@ struct BenchArgs {
   /// means no BENCH_*.json is written.
   std::string json_path;
   /// Worker threads per experiment ("--jobs N"): 1 (the default) runs the
-  /// classic serial loop, 0 means hardware concurrency, N>1 runs trials on
-  /// the work-stealing executor. Every aggregate, golden, and stream is
-  /// byte-identical across values (tests/test_executor.cpp) — only wall
-  /// time changes.
+  /// classic serial loop, 0 means hardware concurrency, N>1 runs up to N
+  /// trials at once through core::run_indexed (never more workers than
+  /// items). Every aggregate, golden, and stream is byte-identical across
+  /// values (tests/test_executor.cpp) — only wall time changes.
   std::size_t jobs = 1;
   /// Memory & hot-path micro-observability ("--memstats"): per-scope
   /// allocation counts, queue-depth / sift / scan-fanout statistics.

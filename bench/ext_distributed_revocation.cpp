@@ -10,7 +10,7 @@
 
 #include "bench_common.hpp"
 #include "bench_runner.hpp"
-#include "core/experiment.hpp"
+#include "core/executor.hpp"
 #include "core/secure_localization.hpp"
 #include "revocation/distributed.hpp"
 #include "util/stats.hpp"

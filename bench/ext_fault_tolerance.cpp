@@ -110,9 +110,13 @@ int main(int argc, char** argv) {
       argc, argv,
       [&](const std::string& a, const auto& next) {
         if (a == "--burst-len") {
-          burst_len =
-              sld::bench::parse_positive_double("--burst-len",
-                                                next("--burst-len"));
+          burst_len = sld::bench::parse_strict_double("--burst-len",
+                                                      next("--burst-len"));
+          // A Gilbert-Elliott burst is at least one lost packet long.
+          if (burst_len < 1.0) {
+            std::cerr << "--burst-len: must be at least 1\n";
+            std::exit(2);
+          }
           return true;
         }
         if (a == "--trace") {
@@ -129,7 +133,7 @@ int main(int argc, char** argv) {
         }
         return false;
       },
-      "  --burst-len L  Gilbert-Elliott average burst length, > 0 "
+      "  --burst-len L  Gilbert-Elliott average burst length, >= 1 "
       "(default 4)\n"
       "  --trace FILE   JSONL event trace of every trial\n"
       "  --metrics FILE per-trial metrics snapshots\n"

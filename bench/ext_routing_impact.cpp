@@ -9,7 +9,7 @@
 
 #include "bench_common.hpp"
 #include "bench_runner.hpp"
-#include "core/experiment.hpp"
+#include "core/executor.hpp"
 #include "core/nodes.hpp"
 #include "core/secure_localization.hpp"
 #include "routing/gpsr.hpp"

@@ -1,146 +1,11 @@
 #include "core/executor.hpp"
 
-#include <chrono>
-#include <utility>
-
 namespace sld::core {
 
-WorkStealingPool::WorkStealingPool(std::size_t workers) {
-  const std::size_t n = workers == 0 ? 1 : workers;
-  queues_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    queues_.push_back(std::make_unique<Queue>());
-  threads_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    threads_.emplace_back([this, i] { worker_loop(i); });
-}
-
-WorkStealingPool::~WorkStealingPool() {
-  {
-    const std::lock_guard<std::mutex> lock(state_mutex_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (auto& t : threads_) t.join();
-}
-
-std::size_t WorkStealingPool::resolve_jobs(std::size_t jobs) {
+std::size_t resolve_jobs(std::size_t jobs) {
   if (jobs != 0) return jobs;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
-}
-
-void WorkStealingPool::run(std::vector<std::function<void()>> tasks) {
-  const std::lock_guard<std::mutex> run_lock(run_mutex_);
-  if (tasks.empty()) return;
-
-  first_error_ = nullptr;
-
-  // Publish the batch size BEFORE any task becomes poppable: a lingering
-  // worker that grabs a task the moment it lands must never drive
-  // remaining_ below zero.
-  remaining_.store(tasks.size(), std::memory_order_release);
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    Queue& q = *queues_[i % queues_.size()];
-    const std::lock_guard<std::mutex> lock(q.mutex);
-    q.tasks.push_back(Task{std::move(tasks[i]), i});
-  }
-
-  {
-    const std::lock_guard<std::mutex> lock(state_mutex_);
-    ++epoch_;
-  }
-  work_cv_.notify_all();
-
-  {
-    std::unique_lock<std::mutex> lock(state_mutex_);
-    done_cv_.wait(lock, [this] {
-      return remaining_.load(std::memory_order_acquire) == 0;
-    });
-  }
-
-  if (first_error_) {
-    std::exception_ptr err = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(err);
-  }
-}
-
-void WorkStealingPool::worker_loop(std::size_t self) {
-  std::uint64_t seen_epoch = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(state_mutex_);
-      work_cv_.wait(lock,
-                    [&] { return stop_ || epoch_ != seen_epoch; });
-      if (stop_) return;
-      seen_epoch = epoch_;
-    }
-    drain(self);
-  }
-}
-
-void WorkStealingPool::drain(std::size_t self) {
-  // Escalating politeness: spin-yield briefly (a neighbour may publish a
-  // stolen-from deque any moment), then sleep in short slices so an idle
-  // worker doesn't burn a core while one long trial finishes elsewhere.
-  unsigned idle_rounds = 0;
-  for (;;) {
-    Task task;
-    if (pop_own(self, task) || steal(self, task)) {
-      idle_rounds = 0;
-      execute(task);
-      continue;
-    }
-    if (remaining_.load(std::memory_order_acquire) == 0) return;
-    if (++idle_rounds < 64) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  }
-}
-
-bool WorkStealingPool::pop_own(std::size_t self, Task& out) {
-  Queue& q = *queues_[self];
-  const std::lock_guard<std::mutex> lock(q.mutex);
-  if (q.tasks.empty()) return false;
-  out = std::move(q.tasks.back());
-  q.tasks.pop_back();
-  return true;
-}
-
-bool WorkStealingPool::steal(std::size_t self, Task& out) {
-  const std::size_t n = queues_.size();
-  for (std::size_t k = 1; k < n; ++k) {
-    Queue& victim = *queues_[(self + k) % n];
-    const std::lock_guard<std::mutex> lock(victim.mutex);
-    if (victim.tasks.empty()) continue;
-    out = std::move(victim.tasks.front());
-    victim.tasks.pop_front();
-    steals_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
-}
-
-void WorkStealingPool::execute(Task& task) {
-  try {
-    task.fn();
-  } catch (...) {
-    const std::lock_guard<std::mutex> lock(error_mutex_);
-    if (first_error_ == nullptr || task.index < first_error_index_) {
-      first_error_ = std::current_exception();
-      first_error_index_ = task.index;
-    }
-  }
-  if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Last task of the batch: run() may be asleep on done_cv_. Taking the
-    // lock before notifying closes the missed-wakeup window against its
-    // predicate check.
-    const std::lock_guard<std::mutex> lock(state_mutex_);
-    done_cv_.notify_all();
-  }
 }
 
 }  // namespace sld::core

@@ -1,117 +1,79 @@
-// Work-stealing trial executor (the scale half of the experiment engine;
-// see core/experiment.hpp for the aggregation half).
+// Fan-out of independent work items: the trials of an experiment (see
+// core/experiment.hpp for their merge), bench sweep points and chaos
+// schedules.
 //
-// A WorkStealingPool owns N worker threads, each with its own bounded-lock
-// deque. `run(tasks)` hands task i to deque i % N, wakes the workers, and
-// blocks until every task has executed exactly once: a worker drains its
-// own deque LIFO (hot caches for consecutive trials) and, when empty,
-// steals FIFO from the other deques round-robin — so a straggler trial
-// never strands the queue behind it. Tasks must be independent; the pool
-// provides no ordering between them.
+// `run_indexed(count, jobs, fn)` runs fn(0) .. fn(count - 1) on up to
+// min(resolve_jobs(jobs), count) threads. Each thread claims the next
+// index from one shared counter, so a long item never strands the items
+// behind it, and stores fn(i) — or the exception it threw — in slot i.
+// The threads are joined before the call returns, and a join
+// happens-after every slot write, so the caller reads the slots
+// race-free.
 //
-// Determinism contract: the pool itself is NOT where determinism lives —
-// task execution order is timing-dependent by design. Callers that need
-// deterministic output (core::run_experiment, the chaos campaign) buffer
-// each task's results into a per-task slot and merge the slots in task
-// order after run() returns; run() returning happens-after every task's
-// side effects, so the merge loop reads them race-free.
+// Determinism contract: the order in which items execute depends on
+// timing. Output is byte-identical at any jobs level because every caller
+// folds the returned vector in index order after the join, and each item
+// computes everything it needs inside `fn`.
 //
-// Exception contract: a throwing task never loses the others. Every task
-// still runs; the first exception by *task index* (not completion time) is
-// rethrown from run() after the pool drains, matching what a serial loop
-// that ran every task and reported the earliest failure would do.
+// Exception contract: the call rethrows the exception of the lowest
+// throwing index, at any jobs level. On worker threads every other item
+// still runs first, and the rethrow follows the join; the plain loop
+// stops at that item.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <deque>
 #include <exception>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace sld::core {
 
-class WorkStealingPool {
- public:
-  /// Spawns `workers` threads (at least 1); they idle on a condition
-  /// variable until run() supplies work.
-  explicit WorkStealingPool(std::size_t workers);
+/// Maps a --jobs value to a worker count: 0 means "all hardware threads"
+/// (hardware_concurrency, at least 1), anything else is taken literally.
+std::size_t resolve_jobs(std::size_t jobs);
 
-  /// Joins every worker. Must not be called while run() is in flight on
-  /// another thread.
-  ~WorkStealingPool();
-
-  WorkStealingPool(const WorkStealingPool&) = delete;
-  WorkStealingPool& operator=(const WorkStealingPool&) = delete;
-
-  /// Executes every task exactly once across the workers and blocks until
-  /// all complete (the calling thread does not execute tasks). Reusable:
-  /// consecutive run() calls reuse the same threads. Rethrows the
-  /// lowest-index task exception, if any, after every task has finished.
-  void run(std::vector<std::function<void()>> tasks);
-
-  std::size_t workers() const { return queues_.size(); }
-
-  /// Tasks executed by a worker that did not own their deque — the
-  /// work-stealing observability counter (monotone across run() calls).
-  std::uint64_t steals() const {
-    return steals_.load(std::memory_order_relaxed);
+/// Runs `fn(0) .. fn(count - 1)` and returns the results in index order.
+/// With one worker left after the clamp it is a plain loop on the calling
+/// thread, which starts no thread at all.
+template <typename Fn>
+auto run_indexed(std::size_t count, std::size_t jobs, Fn&& fn)
+    -> std::vector<decltype(fn(std::size_t{0}))> {
+  using Result = decltype(fn(std::size_t{0}));
+  // std::vector<bool> packs neighbouring slots into one word, so two
+  // workers storing adjacent results would race.
+  static_assert(!std::is_same_v<Result, bool>,
+                "run_indexed: return a wrapper, not bool");
+  std::vector<Result> results(count);
+  const std::size_t workers = std::min(resolve_jobs(jobs), count);
+  if (workers <= 1) {
+    for (std::size_t i = 0; i < count; ++i) results[i] = fn(i);
+    return results;
   }
-
-  /// Maps a --jobs value to a worker count: 0 means "all hardware
-  /// threads" (hardware_concurrency, at least 1), anything else is taken
-  /// literally.
-  static std::size_t resolve_jobs(std::size_t jobs);
-
- private:
-  struct Task {
-    std::function<void()> fn;
-    std::size_t index = 0;
-  };
-  /// One worker's deque. A plain mutex per deque: owners pop the back,
-  /// thieves pop the front; trial-granularity tasks make contention
-  /// negligible next to the milliseconds each task runs for.
-  struct Queue {
-    std::mutex mutex;
-    std::deque<Task> tasks;
-  };
-
-  void worker_loop(std::size_t self);
-  /// Runs tasks until none remain anywhere in this run() generation.
-  void drain(std::size_t self);
-  bool pop_own(std::size_t self, Task& out);
-  bool steal(std::size_t self, Task& out);
-  void execute(Task& task);
-
-  std::vector<std::unique_ptr<Queue>> queues_;
-  std::vector<std::thread> threads_;
-
-  /// Serializes concurrent run() callers (the pool runs one batch at a
-  /// time; a second caller queues behind the first).
-  std::mutex run_mutex_;
-
-  /// Wake/sleep machinery: epoch_ bumps once per run() so sleeping
-  /// workers wake exactly when a new batch arrives.
-  std::mutex state_mutex_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::uint64_t epoch_ = 0;
-  bool stop_ = false;
-
-  /// Tasks not yet finished in the current batch. Set before any task is
-  /// published, decremented after a task's body returns — run() waiting
-  /// for 0 therefore happens-after every task side effect.
-  std::atomic<std::size_t> remaining_{0};
-  std::atomic<std::uint64_t> steals_{0};
-
-  std::mutex error_mutex_;
-  std::size_t first_error_index_ = 0;
-  std::exception_ptr first_error_;
-};
+  std::vector<std::exception_ptr> errors(count);
+  std::atomic<std::size_t> next{0};
+  {
+    std::vector<std::jthread> threads;
+    threads.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+      threads.emplace_back([&] {
+        for (;;) {
+          const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+          if (i >= count) return;
+          try {
+            results[i] = fn(i);
+          } catch (...) {
+            errors[i] = std::current_exception();
+          }
+        }
+      });
+    }
+  }  // each jthread joins as `threads` goes out of scope
+  for (const std::exception_ptr& error : errors)
+    if (error) std::rethrow_exception(error);
+  return results;
+}
 
 }  // namespace sld::core

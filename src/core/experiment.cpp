@@ -1,8 +1,8 @@
 #include "core/experiment.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <functional>
 #include <utility>
 
 #include "core/executor.hpp"
@@ -78,50 +78,40 @@ AggregateSummary run_serial(const ExperimentConfig& config) {
   return agg;
 }
 
-AggregateSummary run_parallel(const ExperimentConfig& config,
-                              std::size_t jobs) {
+AggregateSummary run_parallel(const ExperimentConfig& config) {
   // Ownership rules (DESIGN.md §13): each trial is a sealed unit — its own
   // Scheduler, Network, RNG streams, MetricsRegistry, and buffered
   // observability sinks live and die on one worker. The experiment-level
   // sinks and the aggregate are touched only by this (the calling) thread,
-  // strictly after the pool drains.
+  // strictly after the workers join.
   obs::TraceSink* const trace_sink = config.base.trace_sink;
   obs::TraceSink* const ts_sink = config.base.telemetry.sink;
   const bool ts_aliases_trace = ts_sink != nullptr && ts_sink == trace_sink;
 
-  std::vector<TrialOutcome> outcomes(config.trials);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(config.trials);
-  for (std::size_t i = 0; i < config.trials; ++i) {
-    tasks.push_back([&config, &outcomes, trace_sink, ts_sink,
-                     ts_aliases_trace, i] {
-      SystemConfig trial_config = config.base;
-      trial_config.seed = config.base.seed + i;
-      // Private per-trial buffers in place of the shared sinks: the trial
-      // writes as if it owned the stream; the merge below replays the
-      // buffers in seed order, reproducing the serial interleaving.
-      obs::MemorySink trace_buffer;
-      obs::MemorySink timeseries_buffer;
-      if (trace_sink != nullptr) trial_config.trace_sink = &trace_buffer;
-      if (ts_sink != nullptr) {
-        trial_config.telemetry.sink =
-            ts_aliases_trace ? &trace_buffer : &timeseries_buffer;
-      }
-      TrialOutcome out = run_one_trial(trial_config);
-      out.trace_lines = trace_buffer.take_lines();
-      out.timeseries_lines = timeseries_buffer.take_lines();
-      outcomes[i] = std::move(out);
-    });
-  }
-
-  WorkStealingPool pool(jobs);
-  pool.run(std::move(tasks));
+  std::vector<TrialOutcome> outcomes =
+      run_indexed(config.trials, config.jobs, [&](std::size_t i) {
+        SystemConfig trial_config = config.base;
+        trial_config.seed = config.base.seed + i;
+        // Private per-trial buffers in place of the shared sinks: the
+        // trial writes as if it owned the stream; the merge below replays
+        // the buffers in seed order, reproducing the serial interleaving.
+        obs::MemorySink trace_buffer;
+        obs::MemorySink timeseries_buffer;
+        if (trace_sink != nullptr) trial_config.trace_sink = &trace_buffer;
+        if (ts_sink != nullptr) {
+          trial_config.telemetry.sink =
+              ts_aliases_trace ? &trace_buffer : &timeseries_buffer;
+        }
+        TrialOutcome out = run_one_trial(trial_config);
+        out.trace_lines = trace_buffer.take_lines();
+        out.timeseries_lines = timeseries_buffer.take_lines();
+        return out;
+      });
 
   // Seed-ordered merge: statistics accumulate and streams flush in the
   // exact order the serial loop would have produced them.
   AggregateSummary agg;
-  for (std::size_t i = 0; i < config.trials; ++i) {
-    TrialOutcome& out = outcomes[i];
+  for (TrialOutcome& out : outcomes) {
     if (trace_sink != nullptr)
       for (const auto& line : out.trace_lines) trace_sink->write(line);
     if (ts_sink != nullptr && !ts_aliases_trace)
@@ -136,10 +126,9 @@ AggregateSummary run_parallel(const ExperimentConfig& config,
 }  // namespace
 
 AggregateSummary run_experiment(const ExperimentConfig& config) {
-  std::size_t jobs = WorkStealingPool::resolve_jobs(config.jobs);
-  if (jobs > config.trials) jobs = config.trials;
-  if (jobs <= 1) return run_serial(config);
-  return run_parallel(config, jobs);
+  if (std::min(resolve_jobs(config.jobs), config.trials) <= 1)
+    return run_serial(config);
+  return run_parallel(config);
 }
 
 analysis::ModelParams model_params_for(const SystemConfig& config,

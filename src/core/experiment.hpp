@@ -2,11 +2,11 @@
 // aggregates the TrialSummary quantities the figures plot.
 //
 // Trials are independent, seed-deterministic units, so they parallelize
-// embarrassingly: `jobs > 1` fans them out across a WorkStealingPool
+// embarrassingly: `jobs > 1` fans them out with run_indexed
 // (core/executor.hpp), each worker running complete trials with its own
 // Scheduler/Network/RNG/MetricsRegistry and per-trial buffered trace and
 // telemetry sinks. Results are merged strictly in seed order after the
-// pool drains, so every statistic, golden, metrics_json rollup, and
+// workers join, so every statistic, golden, metrics_json rollup, and
 // flushed trace/timeseries stream is byte-identical to a `jobs = 1` run
 // (tests/test_executor.cpp proves this property; DESIGN.md §13 states the
 // ownership and merge-ordering rules). The only values that legitimately
@@ -16,12 +16,10 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <utility>
+#include <cstdint>
 #include <vector>
 
 #include "analysis/formulas.hpp"
-#include "core/executor.hpp"
 #include "core/secure_localization.hpp"
 #include "util/stats.hpp"
 
@@ -32,10 +30,11 @@ struct ExperimentConfig {
   std::size_t trials = 5;
   /// Seed of trial i is base.seed + i.
   bool keep_trial_summaries = false;
-  /// Concurrent trials: 1 (the default) runs the classic serial loop on
-  /// the calling thread — no pool, no worker threads, bit-for-bit the
-  /// pre-executor behaviour. 0 means one job per hardware thread. N > 1
-  /// runs up to N trials concurrently with seed-ordered merge.
+  /// Concurrent trials: 1 (the default) runs the serial loop on the
+  /// calling thread, which starts no thread and streams trace and
+  /// telemetry lines straight to the sinks. 0 means one job per hardware
+  /// thread. N > 1 runs up to N trials concurrently (never more than
+  /// there are trials) with seed-ordered merge.
   std::size_t jobs = 1;
 };
 
@@ -73,35 +72,6 @@ struct AggregateSummary {
 
 /// Runs `config.trials` independent trials, `config.jobs` at a time.
 AggregateSummary run_experiment(const ExperimentConfig& config);
-
-/// Runs `fn(0) .. fn(count - 1)` — independent, self-contained work items,
-/// typically one experiment sweep point each — up to `jobs` at a time on a
-/// WorkStealingPool and returns the results in index order. `jobs <= 1`
-/// (after resolve_jobs) runs the classic serial loop on the calling thread
-/// with no pool at all. Because each item computes everything it needs
-/// inside `fn` and the fold happens strictly in index order after the pool
-/// drains, output built from the returned vector is byte-identical at any
-/// jobs level (the discipline DESIGN.md §13 sets for trials, lifted to
-/// sweep points).
-template <typename Fn>
-auto run_indexed(std::size_t count, std::size_t jobs, Fn&& fn)
-    -> std::vector<decltype(fn(std::size_t{0}))> {
-  using Result = decltype(fn(std::size_t{0}));
-  std::vector<Result> results(count);
-  std::size_t workers = WorkStealingPool::resolve_jobs(jobs);
-  if (workers > count) workers = count;
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < count; ++i) results[i] = fn(i);
-    return results;
-  }
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(count);
-  for (std::size_t i = 0; i < count; ++i)
-    tasks.push_back([&results, &fn, i] { results[i] = fn(i); });
-  WorkStealingPool pool(workers);
-  pool.run(std::move(tasks));
-  return results;
-}
 
 /// Builds analytical ModelParams matching a system config, with N_c taken
 /// from the measured average (`measured_requesters`) so theory and

@@ -105,11 +105,6 @@ std::optional<LocalizationResult> MultilaterationSolver::solve(
   LocalizationResult result;
   result.position = p;
   result.iterations = iterations;
-  result.residuals_ft.reserve(references.size());
-  for (const auto& r : references) {
-    result.residuals_ft.push_back(
-        util::distance(p, r.beacon_position) - r.measured_distance_ft);
-  }
   result.rms_residual_ft = rms_residual(p, references);
   return result;
 }

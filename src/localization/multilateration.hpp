@@ -26,8 +26,6 @@ struct LocalizationResult {
   /// Root-mean-square residual of |measured - distance(position, beacon)|.
   double rms_residual_ft = 0.0;
   std::size_t iterations = 0;
-  /// Per-reference residuals (same order as the input references).
-  std::vector<double> residuals_ft;
 };
 
 class MultilaterationSolver {

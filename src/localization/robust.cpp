@@ -33,8 +33,10 @@ std::optional<RobustResult> robust_multilateration(
     // Drop the worst-residual reference and retry.
     std::size_t worst = 0;
     double worst_abs = -1.0;
-    for (std::size_t i = 0; i < fit->residuals_ft.size(); ++i) {
-      const double a = std::abs(fit->residuals_ft[i]);
+    for (std::size_t i = 0; i < working.size(); ++i) {
+      const double a =
+          std::abs(util::distance(fit->position, working[i].beacon_position) -
+                   working[i].measured_distance_ft);
       if (a > worst_abs) {
         worst_abs = a;
         worst = i;

@@ -79,7 +79,7 @@ Registry& registry() {
 
 /// Registers the calling thread's state on first use; the destructor runs
 /// at thread exit and folds the stats into the retired accumulator, so
-/// pool workers neither leak registry slots nor lose recorded counts.
+/// worker threads neither leak registry slots nor lose recorded counts.
 struct Registration {
   ThreadState* state = nullptr;
   ~Registration() {
@@ -111,7 +111,7 @@ ThreadState& local_state() {
 }
 
 /// ptr -> (size, scope) of every live tracked allocation, sharded to keep
-/// alloc/free contention between pool workers low. Intentionally leaked.
+/// alloc/free contention between worker threads low. Intentionally leaked.
 struct PtrTable {
   struct Entry {
     std::size_t size;

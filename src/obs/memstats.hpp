@@ -20,15 +20,15 @@
 // trial runs sealed to one worker thread, so its scoped allocations (and
 // the frees of those pointers, matched through a sharded pointer table and
 // credited to the allocating scope) are identical whether trials run
-// serially or fanned over a pool, and the cross-thread merge (sum counts,
-// per-thread peaks) reproduces the serial totals exactly. Peak live bytes
+// serially or fanned over worker threads, and the cross-thread merge (sum
+// counts, per-thread peaks) reproduces the serial totals exactly. Peak live bytes
 // is the one approximate field: it is a per-thread high-water mark, so
 // concurrent trials sharing a scope make the merged peak depend on worker
 // count — it is reported but excluded from exact regression gates.
 //
 // Thread exit: each thread's stats are registered once and folded into a
-// retired accumulator when the thread exits, so `snapshot()` survives
-// WorkStealingPool worker churn.
+// retired accumulator when the thread exits, so `snapshot()` keeps the
+// counts of run_indexed workers after they are joined.
 //
 // Thread-safety contract: recording touches only the calling thread's
 // stats plus one pointer-table shard lock. `set_enabled` / `snapshot`

@@ -14,9 +14,9 @@ SimTime arq_timeout(const ArqConfig& config, std::size_t attempt,
                     << " exceeds max_retries=" << config.max_retries);
   if (config.initial_timeout_ns <= 0)
     throw std::invalid_argument("ArqConfig: timeout must be positive");
-  if (config.backoff_factor < 1.0)
+  if (!(config.backoff_factor >= 1.0))
     throw std::invalid_argument("ArqConfig: backoff factor < 1");
-  if (config.jitter_fraction < 0.0 || config.jitter_fraction >= 1.0)
+  if (!(config.jitter_fraction >= 0.0 && config.jitter_fraction < 1.0))
     throw std::invalid_argument("ArqConfig: jitter fraction outside [0, 1)");
   double timeout = static_cast<double>(config.initial_timeout_ns) *
                    std::pow(config.backoff_factor,
@@ -25,6 +25,10 @@ SimTime arq_timeout(const ArqConfig& config, std::size_t attempt,
     timeout *= 1.0 + rng.uniform(-config.jitter_fraction,
                                  config.jitter_fraction);
   }
+  // 2^63 is the first double past SimTime's range; casting it or anything
+  // larger is undefined.
+  if (!(timeout < 0x1p63))
+    throw std::invalid_argument("ArqConfig: timeout overflows SimTime");
   return static_cast<SimTime>(timeout);
 }
 

@@ -1,5 +1,6 @@
 #include "sim/faults.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -8,10 +9,10 @@ namespace sld::sim {
 
 GilbertElliottConfig GilbertElliottConfig::for_average_loss(
     double target_loss, double mean_burst_len) {
-  if (target_loss < 0.0 || target_loss >= 1.0)
+  if (!(target_loss >= 0.0 && target_loss < 1.0))
     throw std::invalid_argument("GilbertElliott: target loss outside [0, 1)");
-  if (mean_burst_len < 1.0)
-    throw std::invalid_argument("GilbertElliott: burst length < 1");
+  if (!(mean_burst_len >= 1.0 && std::isfinite(mean_burst_len)))
+    throw std::invalid_argument("GilbertElliott: burst length < 1 or infinite");
   GilbertElliottConfig ge;
   ge.loss_good = 0.0;
   ge.loss_bad = 1.0;
@@ -19,6 +20,10 @@ GilbertElliottConfig GilbertElliottConfig::for_average_loss(
   // Stationary P(bad) must equal target_loss:
   //   p_enter / (p_enter + p_exit) = target  =>  p_enter = p_exit * t/(1-t).
   ge.p_enter_bad = ge.p_exit_bad * target_loss / (1.0 - target_loss);
+  // Bursts this short cannot reach a loss this high: t/(1-t) > burst len.
+  if (ge.p_enter_bad > 1.0)
+    throw std::invalid_argument(
+        "GilbertElliott: target loss unreachable with this burst length");
   return ge;
 }
 
@@ -39,15 +44,22 @@ FaultInjector::FaultInjector(FaultPlan plan, util::Rng rng)
   check_p(plan_.loss_probability, "loss probability");
   check_p(plan_.duplicate_probability, "duplicate probability");
   check_p(plan_.corruption_probability, "corruption probability");
+  check_p(plan_.burst.p_enter_bad, "burst enter probability");
+  check_p(plan_.burst.p_exit_bad, "burst exit probability");
+  check_p(plan_.burst.loss_good, "burst good-state loss");
+  check_p(plan_.burst.loss_bad, "burst bad-state loss");
   for (const auto& [node, p] : plan_.node_loss) check_p(p, "node loss");
   for (const auto& [link, p] : plan_.link_loss) check_p(p, "link loss");
   for (const auto& w : plan_.crashes) {
     if (w.end <= w.start)
       throw std::invalid_argument("FaultPlan: empty crash window");
   }
-  if (plan_.clock_drift.max_drift_ppm < 0.0)
-    throw std::invalid_argument("FaultPlan: negative clock drift");
-  if (plan_.clock_drift.enabled() && plan_.clock_drift.turnaround_cycles <= 0.0)
+  if (!(plan_.clock_drift.max_drift_ppm >= 0.0 &&
+        std::isfinite(plan_.clock_drift.max_drift_ppm)))
+    throw std::invalid_argument(
+        "FaultPlan: clock drift negative or not finite");
+  if (plan_.clock_drift.enabled() &&
+      !(plan_.clock_drift.turnaround_cycles > 0.0))
     throw std::invalid_argument("FaultPlan: non-positive drift turnaround");
   partition_sides_.reserve(plan_.partitions.size());
   for (const auto& p : plan_.partitions) {

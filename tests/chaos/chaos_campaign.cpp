@@ -26,9 +26,10 @@
 // Not a gtest: the campaign is a standalone binary so tools/run_chaos.sh
 // and the ctest chaos_smoke entry can scale schedule counts independently.
 //
-// `--jobs N` fans the schedules across a WorkStealingPool (each schedule
-// is an independent pure function of its seed); results are buffered per
-// seed and reported in seed order, so the report — and the exit code — is
+// `--jobs N` fans the schedules out with run_indexed (core/executor.hpp;
+// each schedule is an independent pure function of its seed, and no more
+// workers start than there are schedules); results are buffered per seed
+// and reported in seed order, so the report — and the exit code — is
 // identical to a serial campaign (`--selftest-jobs N` asserts exactly
 // that). Invariant recording is thread-local, so concurrent schedules
 // attribute violations to the schedule that raised them. Failure-trace
@@ -36,7 +37,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
-#include <functional>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -56,7 +56,7 @@ using namespace sld;
 
 // ---------------------------------------------------------------------------
 // Invariant recording. The handler and message buffer are thread-local:
-// with --jobs, schedules run concurrently on pool workers, and each trial
+// with --jobs, schedules run concurrently on worker threads, and each trial
 // must capture exactly the violations its own thread raised
 // (check::set_thread_invariant_handler overrides the process handler for
 // the installing thread only).
@@ -596,28 +596,14 @@ bool run_and_report(std::uint64_t seed, const CampaignOptions& opts) {
 }
 
 /// Runs the whole campaign at the given concurrency and returns the
-/// per-seed results (index i is seed base_seed + i). The pool executes
-/// schedules in whatever order stealing produces; the slot-per-seed
-/// buffer makes the returned vector — and everything reported from it —
-/// independent of that order.
+/// per-seed results (index i is seed base_seed + i). Schedules execute in
+/// whatever order the workers claim them; the slot-per-seed result vector
+/// makes everything reported from it independent of that order.
 std::vector<ScheduleResult> run_campaign(const CampaignOptions& opts,
                                          std::size_t jobs) {
-  std::vector<ScheduleResult> results(opts.schedules);
-  if (jobs <= 1) {
-    for (std::size_t i = 0; i < opts.schedules; ++i)
-      results[i] = run_schedule(opts.base_seed + i, opts, nullptr);
-    return results;
-  }
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(opts.schedules);
-  for (std::size_t i = 0; i < opts.schedules; ++i) {
-    tasks.push_back([&results, &opts, i] {
-      results[i] = run_schedule(opts.base_seed + i, opts, nullptr);
-    });
-  }
-  core::WorkStealingPool pool(jobs);
-  pool.run(std::move(tasks));
-  return results;
+  return core::run_indexed(opts.schedules, jobs, [&opts](std::size_t i) {
+    return run_schedule(opts.base_seed + i, opts, nullptr);
+  });
 }
 
 /// --selftest-jobs: the campaign's own serial-vs-parallel equivalence
@@ -696,7 +682,7 @@ int main(int argc, char** argv) {
   }
 
   // Single-schedule replay mode: always serial, whatever --jobs says —
-  // a repro must not depend on pool scheduling.
+  // a repro must not depend on worker scheduling.
   if (const char* env = std::getenv("SLD_CHAOS_SEED")) {
     const auto seed = parse_u64(env);
     if (!seed) {
@@ -709,10 +695,8 @@ int main(int argc, char** argv) {
 
   if (opts.selftest_jobs > 0) return run_jobs_selftest(opts);
 
-  const std::size_t jobs =
-      sld::core::WorkStealingPool::resolve_jobs(opts.jobs);
   std::size_t failed = 0;
-  if (jobs <= 1) {
+  if (sld::core::resolve_jobs(opts.jobs) <= 1) {
     for (std::size_t i = 0; i < opts.schedules; ++i) {
       const std::uint64_t seed = opts.base_seed + i;
       if (!run_and_report(seed, opts)) ++failed;
@@ -724,7 +708,7 @@ int main(int argc, char** argv) {
   } else {
     // Parallel: run everything first, then report strictly in seed order
     // (any failure-trace re-run happens serially during reporting).
-    const auto results = run_campaign(opts, jobs);
+    const auto results = run_campaign(opts, opts.jobs);
     for (std::size_t i = 0; i < opts.schedules; ++i) {
       if (!report(opts.base_seed + i, opts, results[i])) ++failed;
     }

@@ -324,15 +324,22 @@ TEST(FaultPlan, CrashDropsOwnedTimersAndRebootFencesOldEpoch) {
 }
 
 TEST(FaultPlan, DriftAndPartitionValidationRejected) {
-  FaultPlan bad_drift;
-  bad_drift.clock_drift.max_drift_ppm = -1.0;
-  EXPECT_THROW((Network{with_faults(bad_drift), 1}), std::invalid_argument);
+  for (const double ppm : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    FaultPlan bad_drift;
+    bad_drift.clock_drift.max_drift_ppm = ppm;
+    EXPECT_THROW((Network{with_faults(bad_drift), 1}), std::invalid_argument)
+        << "max_drift_ppm " << ppm;
+  }
 
-  FaultPlan bad_turnaround;
-  bad_turnaround.clock_drift.max_drift_ppm = 10.0;
-  bad_turnaround.clock_drift.turnaround_cycles = 0.0;
-  EXPECT_THROW((Network{with_faults(bad_turnaround), 1}),
-               std::invalid_argument);
+  for (const double cycles : {0.0, std::numeric_limits<double>::quiet_NaN()}) {
+    FaultPlan bad_turnaround;
+    bad_turnaround.clock_drift.max_drift_ppm = 10.0;
+    bad_turnaround.clock_drift.turnaround_cycles = cycles;
+    EXPECT_THROW((Network{with_faults(bad_turnaround), 1}),
+                 std::invalid_argument)
+        << "turnaround_cycles " << cycles;
+  }
 
   FaultPlan empty_window;
   empty_window.partitions.push_back(PartitionWindow{{1}, 5, 5});
@@ -394,6 +401,20 @@ TEST(FaultPlan, InvalidParametersRejected) {
     EXPECT_THROW((Network{with_faults(bad_loss), 1}), std::invalid_argument);
   }
 
+  // Each burst-chain probability is checked like the i.i.d. ones.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double GilbertElliottConfig::*field :
+       {&GilbertElliottConfig::p_enter_bad, &GilbertElliottConfig::p_exit_bad,
+        &GilbertElliottConfig::loss_good, &GilbertElliottConfig::loss_bad}) {
+    for (const double p : {-0.1, 1.5, nan}) {
+      FaultPlan bad_burst;
+      bad_burst.burst.p_enter_bad = 0.1;
+      bad_burst.burst.*field = p;
+      EXPECT_THROW((Network{with_faults(bad_burst), 1}),
+                   std::invalid_argument);
+    }
+  }
+
   FaultPlan bad_window;
   bad_window.crashes.push_back(CrashWindow{1, 100, 100});
   EXPECT_THROW((Network{with_faults(bad_window), 1}), std::invalid_argument);
@@ -402,6 +423,17 @@ TEST(FaultPlan, InvalidParametersRejected) {
                std::invalid_argument);
   EXPECT_THROW(GilbertElliottConfig::for_average_loss(0.1, 0.5),
                std::invalid_argument);
+  EXPECT_THROW(GilbertElliottConfig::for_average_loss(nan, 5.0),
+               std::invalid_argument);
+  EXPECT_THROW(GilbertElliottConfig::for_average_loss(0.1, nan),
+               std::invalid_argument);
+  EXPECT_THROW(GilbertElliottConfig::for_average_loss(
+                   0.1, std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  // 0.9 / (1 - 0.9) = 9 > 5: no chain with 5-packet bursts loses 90%.
+  EXPECT_THROW(GilbertElliottConfig::for_average_loss(0.9, 5.0),
+               std::invalid_argument);
+  EXPECT_NO_THROW(GilbertElliottConfig::for_average_loss(0.9, 10.0));
 }
 
 TEST(Arq, TimeoutBacksOffExponentiallyWithBoundedJitter) {
@@ -448,9 +480,19 @@ TEST(Arq, InvalidConfigRejected) {
   bad.initial_timeout_ns = kMillisecond;
   bad.backoff_factor = 0.5;
   EXPECT_THROW(arq_timeout(bad, 0, rng), std::invalid_argument);
+  bad.backoff_factor = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(arq_timeout(bad, 0, rng), std::invalid_argument);
   bad.backoff_factor = 2.0;
   bad.jitter_fraction = 1.0;
   EXPECT_THROW(arq_timeout(bad, 0, rng), std::invalid_argument);
+  bad.jitter_fraction = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(arq_timeout(bad, 0, rng), std::invalid_argument);
+  // 1 ms doubled 45 times (about 3.5e19 ns) is past SimTime's range: a
+  // timeout that cannot be represented is rejected, not cast.
+  bad.jitter_fraction = 0.0;
+  bad.max_retries = 50;
+  EXPECT_EQ(arq_timeout(bad, 1, rng), 2 * kMillisecond);
+  EXPECT_THROW(arq_timeout(bad, 45, rng), std::invalid_argument);
 }
 
 }  // namespace

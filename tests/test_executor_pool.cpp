@@ -1,158 +1,163 @@
-// WorkStealingPool (core/executor.hpp) contract tests: every task runs
-// exactly once for any worker count, empty and single-task batches never
-// deadlock, a throwing task loses nothing and the lowest-index exception
-// wins, the pool is reusable across run() calls, and steals are observable
-// when a worker's own deque runs dry. The exactly-once property is checked
-// both on fixed edge cases and property-style over random batch shapes
+// run_indexed (core/executor.hpp) contract tests: resolve_jobs maps 0 to
+// the hardware, every item runs exactly once and its result lands in its
+// own slot for any worker count, empty and single-item batches return,
+// a throwing item loses nothing and the lowest-index exception wins, a
+// blocked item does not strand the items behind it, and no more workers
+// start than there are items. The exactly-once property is checked both
+// on fixed edge cases and property-style over random batch shapes
 // (SLD_PROP_SEED replays a failing case).
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <condition_variable>
-#include <functional>
-#include <mutex>
+#include <chrono>
+#include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/executor.hpp"
+#include "obs/memstats.hpp"
 #include "prop/prop.hpp"
 
 namespace {
 
-using sld::core::WorkStealingPool;
+using sld::core::resolve_jobs;
+using sld::core::run_indexed;
 
-/// Runs `tasks` no-op-with-counting tasks and returns per-task execution
-/// counts.
-std::vector<int> execution_counts(WorkStealingPool& pool,
-                                  std::size_t tasks) {
-  std::vector<std::atomic<int>> counts(tasks);
-  std::vector<std::function<void()>> batch;
-  batch.reserve(tasks);
-  for (std::size_t i = 0; i < tasks; ++i)
-    batch.push_back([&counts, i] {
-      counts[i].fetch_add(1, std::memory_order_relaxed);
-    });
-  pool.run(std::move(batch));
+/// Runs `items` counting items on `jobs` workers and returns how often
+/// each ran, after checking that slot i holds item i's result.
+std::vector<int> execution_counts(std::size_t items, std::size_t jobs) {
+  std::vector<std::atomic<int>> counts(items);
+  const std::vector<std::size_t> results =
+      run_indexed(items, jobs, [&counts](std::size_t i) {
+        counts[i].fetch_add(1, std::memory_order_relaxed);
+        return i * 3 + 1;
+      });
+  EXPECT_EQ(results.size(), items);
+  for (std::size_t i = 0; i < results.size(); ++i)
+    EXPECT_EQ(results[i], i * 3 + 1) << "slot " << i;
   std::vector<int> out;
-  out.reserve(tasks);
+  out.reserve(items);
   for (auto& c : counts) out.push_back(c.load(std::memory_order_relaxed));
   return out;
 }
 
-TEST(WorkStealingPoolTest, ResolveJobsMapsZeroToHardware) {
-  EXPECT_GE(WorkStealingPool::resolve_jobs(0), 1u);
-  EXPECT_EQ(WorkStealingPool::resolve_jobs(1), 1u);
-  EXPECT_EQ(WorkStealingPool::resolve_jobs(7), 7u);
+TEST(RunIndexedTest, ResolveJobsMapsZeroToHardware) {
+  EXPECT_GE(resolve_jobs(0), 1u);
+  EXPECT_EQ(resolve_jobs(1), 1u);
+  EXPECT_EQ(resolve_jobs(7), 7u);
 }
 
-TEST(WorkStealingPoolTest, EveryTaskRunsExactlyOnceAcrossWorkerSweep) {
+TEST(RunIndexedTest, EveryItemRunsExactlyOnceAcrossWorkerSweep) {
   for (std::size_t workers = 1; workers <= 8; ++workers) {
-    WorkStealingPool pool(workers);
-    EXPECT_EQ(pool.workers(), workers);
-    for (const std::size_t tasks : {0u, 1u, 2u, 7u, 64u}) {
-      const auto counts = execution_counts(pool, tasks);
-      ASSERT_EQ(counts.size(), tasks);
-      for (std::size_t i = 0; i < tasks; ++i)
-        EXPECT_EQ(counts[i], 1) << "workers=" << workers << " task=" << i;
+    for (const std::size_t items : {0u, 1u, 2u, 7u, 64u}) {
+      const auto counts = execution_counts(items, workers);
+      ASSERT_EQ(counts.size(), items);
+      for (std::size_t i = 0; i < items; ++i)
+        EXPECT_EQ(counts[i], 1) << "workers=" << workers << " item=" << i;
     }
   }
 }
 
-TEST(WorkStealingPoolTest, EmptyAndSingleTaskBatchesDoNotDeadlock) {
-  WorkStealingPool pool(4);
+TEST(RunIndexedTest, EmptyAndSingleItemBatchesReturn) {
   for (int round = 0; round < 50; ++round) {
-    pool.run({});
-    std::atomic<int> ran{0};
-    std::vector<std::function<void()>> one;
-    one.push_back([&ran] { ran.fetch_add(1); });
-    pool.run(std::move(one));
-    EXPECT_EQ(ran.load(), 1);
-  }
-}
-
-TEST(WorkStealingPoolTest, ReusableAcrossRunsAndAccumulatesWork) {
-  WorkStealingPool pool(3);
-  std::atomic<int> total{0};
-  for (int round = 0; round < 20; ++round) {
-    std::vector<std::function<void()>> batch;
-    for (int i = 0; i < 11; ++i)
-      batch.push_back([&total] { total.fetch_add(1); });
-    pool.run(std::move(batch));
-  }
-  EXPECT_EQ(total.load(), 20 * 11);
-}
-
-TEST(WorkStealingPoolTest, LowestIndexExceptionWinsAndNothingIsLost) {
-  WorkStealingPool pool(4);
-  std::vector<std::atomic<int>> counts(16);
-  std::vector<std::function<void()>> batch;
-  for (std::size_t i = 0; i < counts.size(); ++i)
-    batch.push_back([&counts, i] {
-      counts[i].fetch_add(1);
-      // Three tasks throw; the one with the smallest index must be the
-      // one run() reports, regardless of completion order.
-      if (i == 3 || i == 9 || i == 12)
-        throw std::runtime_error("task " + std::to_string(i));
+    bool ran_empty = false;
+    const auto none = run_indexed(0, 4, [&ran_empty](std::size_t) {
+      ran_empty = true;
+      return 0;
     });
+    EXPECT_TRUE(none.empty());
+    EXPECT_FALSE(ran_empty);
+    // One item leaves one worker after the clamp: it runs on the calling
+    // thread.
+    const auto one = run_indexed(1, 4, [](std::size_t) {
+      return std::this_thread::get_id();
+    });
+    ASSERT_EQ(one.size(), 1u);
+    EXPECT_EQ(one[0], std::this_thread::get_id());
+  }
+}
+
+TEST(RunIndexedTest, LowestIndexExceptionWinsAndNothingIsLost) {
+  std::vector<std::atomic<int>> counts(16);
   try {
-    pool.run(std::move(batch));
-    FAIL() << "run() swallowed the task exceptions";
+    (void)run_indexed(counts.size(), 4, [&counts](std::size_t i) {
+      counts[i].fetch_add(1);
+      // Three items throw; the one with the smallest index must be the
+      // one run_indexed reports, regardless of completion order.
+      if (i == 3 || i == 9 || i == 12)
+        throw std::runtime_error("item " + std::to_string(i));
+      return i;
+    });
+    FAIL() << "run_indexed swallowed the item exceptions";
   } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "task 3");
+    EXPECT_STREQ(e.what(), "item 3");
   }
   for (std::size_t i = 0; i < counts.size(); ++i)
-    EXPECT_EQ(counts[i].load(), 1) << "task " << i;
-  // The pool survives a throwing batch.
-  const auto counts_after = execution_counts(pool, 8);
-  for (const int c : counts_after) EXPECT_EQ(c, 1);
+    EXPECT_EQ(counts[i].load(), 1) << "item " << i;
 }
 
-TEST(WorkStealingPoolTest, StarvedWorkerStealsFromBlockedOwner) {
-  // 2 workers, 4 tasks: round-robin puts tasks {0, 2} in deque 0 and
-  // {1, 3} in deque 1. Worker 0 pops its own deque LIFO, so it takes
-  // task 2 first — which blocks until task 0 has run. Task 0 now sits in
-  // a deque whose owner is wedged, so it can only execute via a steal by
-  // worker 1 (FIFO from the front). If stealing were broken this test
-  // would deadlock (and the batch would hang) instead of completing.
-  WorkStealingPool pool(2);
-  std::mutex m;
-  std::condition_variable cv;
-  bool task0_done = false;
-  std::vector<std::function<void()>> batch;
-  batch.push_back([&] {
-    const std::lock_guard<std::mutex> lock(m);
-    task0_done = true;
-    cv.notify_all();
+TEST(RunIndexedTest, BlockedItemDoesNotStrandTheRest) {
+  // 2 workers, 8 items: item 0 blocks until every other item has run.
+  // The worker that claimed it is wedged, so items 1..7 can only finish
+  // on the other worker, by claiming them one after another from the
+  // shared counter. If a blocked item stranded the items behind it, this
+  // test would hang instead of completing.
+  constexpr std::size_t kItems = 8;
+  std::atomic<std::size_t> others_done{0};
+  const auto results = run_indexed(kItems, 2, [&](std::size_t i) {
+    if (i == 0) {
+      while (others_done.load() < kItems - 1)
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    } else {
+      others_done.fetch_add(1);
+    }
+    return i;
   });
-  batch.push_back([] {});
-  batch.push_back([&] {
-    std::unique_lock<std::mutex> lock(m);
-    cv.wait(lock, [&] { return task0_done; });
-  });
-  batch.push_back([] {});
-  const std::uint64_t steals_before = pool.steals();
-  pool.run(std::move(batch));
-  EXPECT_GE(pool.steals(), steals_before + 1);
+  for (std::size_t i = 0; i < kItems; ++i) EXPECT_EQ(results[i], i);
 }
 
-TEST(WorkStealingPoolTest, PropExactlyOnceOverRandomBatchShapes) {
-  // Batch shape = (workers in 1..8, tasks in 0..97): every task runs
+TEST(RunIndexedTest, StartsNoMoreWorkersThanItems) {
+  // --jobs 64 over 3 items must start the same 3 workers as --jobs 3.
+  // Launching a thread allocates on the calling thread, so the two calls
+  // must make the same allocations there.
+  using sld::obs::Memstats;
+  const auto launch_allocs = [](std::size_t jobs) {
+    const auto before = Memstats::thread_totals_for("executor_test").allocs;
+    {
+      SLD_MEM_SCOPE("executor_test");
+      const auto results =
+          run_indexed(3, jobs, [](std::size_t i) { return i; });
+      EXPECT_EQ(results.size(), 3u);
+    }
+    return Memstats::thread_totals_for("executor_test").allocs - before;
+  };
+  Memstats::set_enabled(true);
+  const std::uint64_t clamped = launch_allocs(3);
+  const std::uint64_t requested_64 = launch_allocs(64);
+  Memstats::set_enabled(false);
+  EXPECT_GT(clamped, 0u);
+  EXPECT_EQ(requested_64, clamped);
+}
+
+TEST(RunIndexedTest, PropExactlyOnceOverRandomBatchShapes) {
+  // Batch shape = (workers in 1..8, items in 0..97): every item runs
   // exactly once, whatever the shape.
   auto gen = sld::prop::int_range(0, 8 * 98 - 1);
   sld::prop::Config cfg;
   cfg.iterations = 40;
   sld::prop::forall<std::int64_t>(
-      "pool runs every task exactly once", gen,
+      "run_indexed runs every item exactly once", gen,
       [](const std::int64_t& shape) {
         const std::size_t workers =
             1 + static_cast<std::size_t>(shape) / 98;
-        const std::size_t tasks = static_cast<std::size_t>(shape) % 98;
-        WorkStealingPool pool(workers);
-        const auto counts = execution_counts(pool, tasks);
+        const std::size_t items = static_cast<std::size_t>(shape) % 98;
+        const auto counts = execution_counts(items, workers);
         for (const int c : counts)
           if (c != 1) return false;
-        return counts.size() == tasks;
+        return counts.size() == items;
       },
       cfg);
 }

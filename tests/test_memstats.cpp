@@ -226,8 +226,8 @@ TEST(Memstats, PaperScaleTrialMessagePathIsAllocationFree) {
   // their in-flight tables and references in the trial's arena. An
   // outermost scope around run() leaves no allocation of the run
   // unattributed, so the total over every scope is all of them: mostly
-  // one residual list per localized sensor, far below one allocation in
-  // twenty events.
+  // detection and revocation bookkeeping and the pools' growth, far below
+  // one allocation in fifty events.
   core::SystemConfig c;
   c.rtt_calibration_samples = 1000;
   c.seed = 3;
@@ -266,7 +266,7 @@ TEST(Memstats, PaperScaleTrialMessagePathIsAllocationFree) {
   EXPECT_GT(pool_allocs, 0u);  // the scopes are live: pools did grow
   EXPECT_LT(static_cast<double>(run_allocs) /
                 static_cast<double>(summary.sched_events),
-            0.05)
+            0.02)
       << run_allocs << " allocations in run() for " << summary.sched_events
       << " events (channel " << a[1].allocs - b[1].allocs << " + scheduler "
       << a[2].allocs - b[2].allocs << " with setup)";

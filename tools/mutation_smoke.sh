@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Mutation smoke test: applies 21 curated single-line mutants to the
+# Mutation smoke test: applies 23 curated single-line mutants to the
 # detection/revocation/sim/crypto/core/obs/ranging sources and verifies the
 # test suite kills every one (at least one registered test fails per
 # mutant). A mutant that survives means a guard has no test teeth — the
@@ -169,6 +169,19 @@ add_mutant "channel-find-skips-aliases" \
   return it == sparse_ids_.end() ? nullptr : it->second;" \
   "  return nullptr;" \
   "test_channel"
+
+add_mutant "run-indexed-skips-first" \
+  "src/core/executor.hpp" \
+  "next.fetch_add(1, std::memory_order_relaxed)" \
+  "++next" \
+  "test_executor_pool"
+
+add_mutant "fault-burst-unchecked" \
+  "src/sim/faults.cpp" \
+  "  check_p(plan_.burst.p_enter_bad, \"burst enter probability\");
+" \
+  "" \
+  "test_channel_faults"
 
 # --- helpers --------------------------------------------------------------
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # TSan tier: build the Tsan configuration (-fsanitize=thread, see the
 # top-level CMakeLists.txt build-type block) and run the concurrency
-# surface under it — the executor pool and equivalence suites, memstats'
-# thread-local accounting, and the chaos campaign fanned over 4 pool
+# surface under it — the run_indexed contract and equivalence suites,
+# memstats' thread-local accounting, and the chaos campaign fanned over 4
 # workers (plain and alert-storm). Any data race aborts the run
 # (halt_on_error=1), so a green exit means the parallel trial path is
 # race-clean, not just correct-by-luck.
@@ -32,7 +32,7 @@ cmake --build "$dir" -j "$jobs" --target \
 
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
-echo "=== [tsan] executor pool property tests ==="
+echo "=== [tsan] run_indexed contract tests ==="
 "$dir/tests/test_executor_pool"
 echo "=== [tsan] serial-vs-parallel equivalence suite ==="
 "$dir/tests/test_executor"
