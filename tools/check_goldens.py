@@ -10,7 +10,10 @@ drift in simulation results — intended or not — shows up as a failing
 A goldens entry is `<binary>[:flag,flag,...] <sha256>`: the optional
 comma-separated suffix appends mode flags to the standard argument set, so
 one binary can be pinned in several modes (e.g. `ext_alert_storm` and
-`ext_alert_storm:--storm`).
+`ext_alert_storm:--storm`). A bare `--trace` among the flags pins the trace
+instead of stdout: the bench runs with `--trace <tmpfile>` and the entry
+hashes the JSONL file it writes, so every per-event record of the message
+path (sends, replies, timeouts, retries, localization tiers) is pinned too.
 
 Usage:
   check_goldens.py --bench-dir build/bench --goldens tests/goldens/bench_goldens.txt
@@ -22,6 +25,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 
 BENCH_ARGS = ["--fast", "--trials", "1", "--seed", "1"]
 
@@ -41,7 +45,8 @@ def read_goldens(path):
 def write_goldens(path, goldens):
     with open(path, "w", encoding="utf-8") as f:
         f.write("# sha256 of each bench's stdout at "
-                f"`{' '.join(BENCH_ARGS)}`.\n")
+                f"`{' '.join(BENCH_ARGS)}`; a `--trace` entry hashes the "
+                "trace file instead.\n")
         f.write("# Regenerate with: tools/check_goldens.py --update "
                 "--bench-dir <build>/bench --goldens <this file>\n")
         for name in sorted(goldens):
@@ -59,14 +64,27 @@ def run_bench(bench_dir, name):
     exe = os.path.join(bench_dir, binary)
     if not os.path.exists(exe):
         return None, f"missing bench binary: {exe}"
-    try:
-        out = subprocess.run([exe] + BENCH_ARGS + extra, capture_output=True,
-                             timeout=300, check=True)
-    except subprocess.CalledProcessError as e:
-        return None, f"{name} exited {e.returncode}: {e.stderr.decode()[:500]}"
-    except subprocess.TimeoutExpired:
-        return None, f"{name} timed out"
-    return hashlib.sha256(out.stdout).hexdigest(), None
+    with tempfile.TemporaryDirectory() as tmp:
+        trace_path = None
+        if "--trace" in extra:
+            trace_path = os.path.join(tmp, "trace.jsonl")
+            i = extra.index("--trace")
+            extra = extra[:i + 1] + [trace_path] + extra[i + 1:]
+        try:
+            out = subprocess.run([exe] + BENCH_ARGS + extra,
+                                 capture_output=True, timeout=300, check=True)
+        except subprocess.CalledProcessError as e:
+            return None, (f"{name} exited {e.returncode}: "
+                          f"{e.stderr.decode()[:500]}")
+        except subprocess.TimeoutExpired:
+            return None, f"{name} timed out"
+        if trace_path is None:
+            return hashlib.sha256(out.stdout).hexdigest(), None
+        digest = hashlib.sha256()
+        with open(trace_path, "rb") as f:
+            for chunk in iter(lambda: f.read(1 << 20), b""):
+                digest.update(chunk)
+        return digest.hexdigest(), None
 
 
 def main():
