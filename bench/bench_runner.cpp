@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <ctime>
 #include <exception>
@@ -18,6 +17,8 @@
 #include <streambuf>
 #include <string>
 #include <vector>
+
+#include "obs/json.hpp"
 
 namespace sld::bench {
 
@@ -47,26 +48,6 @@ double mad_of(const std::vector<double>& xs) {
   return median_of(std::move(dev));
 }
 
-void append_number(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char num[40];
-  std::snprintf(num, sizeof(num), "%.10g", v);
-  out += num;
-}
-
-void append_quoted(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) continue;
-    out += c;
-  }
-  out += '"';
-}
-
 /// Peak resident set size of this process, bytes (ru_maxrss is KiB on
 /// Linux).
 std::uint64_t peak_rss_bytes() {
@@ -85,7 +66,7 @@ std::string build_result_json(const char* name, const BenchArgs& args,
   std::string out;
   out.reserve(2048);
   out += "{\"schema\":\"sld-bench-result/v1\",\"name\":";
-  append_quoted(out, name);
+  obs::append_json_string(out, name);
   out += ",\"args\":{\"trials\":";
   out += std::to_string(args.trials);
   out += ",\"seed\":";
@@ -101,12 +82,12 @@ std::string build_result_json(const char* name, const BenchArgs& args,
   out += "},\"wall_ms\":{\"repeats\":[";
   for (std::size_t i = 0; i < wall_ms.size(); ++i) {
     if (i) out += ',';
-    append_number(out, wall_ms[i]);
+    obs::append_json_number(out, wall_ms[i]);
   }
   out += "],\"median\":";
-  append_number(out, median_ms);
+  obs::append_json_number(out, median_ms);
   out += ",\"mad\":";
-  append_number(out, mad_ms);
+  obs::append_json_number(out, mad_ms);
   out += "},\"throughput\":{\"sim_events\":";
   out += std::to_string(last.sim_events());
   out += ",\"packets\":";
@@ -114,13 +95,11 @@ std::string build_result_json(const char* name, const BenchArgs& args,
   out += ",\"trials\":";
   out += std::to_string(last.trials());
   out += ",\"events_per_sec\":";
-  append_number(out, secs > 0.0
-                         ? static_cast<double>(last.sim_events()) / secs
-                         : 0.0);
+  obs::append_json_number(
+      out, secs > 0.0 ? static_cast<double>(last.sim_events()) / secs : 0.0);
   out += ",\"packets_per_sec\":";
-  append_number(out, secs > 0.0
-                         ? static_cast<double>(last.packets()) / secs
-                         : 0.0);
+  obs::append_json_number(
+      out, secs > 0.0 ? static_cast<double>(last.packets()) / secs : 0.0);
   out += "},\"peak_rss_bytes\":";
   out += std::to_string(peak_rss_bytes());
 
@@ -141,17 +120,16 @@ std::string build_result_json(const char* name, const BenchArgs& args,
     out += ",\"peak_live_bytes\":";
     out += std::to_string(m.peak_live_bytes);
     out += ",\"allocs_per_event\":";
-    append_number(out, events > 0.0
-                           ? static_cast<double>(m.allocs) / events
-                           : 0.0);
+    obs::append_json_number(
+        out, events > 0.0 ? static_cast<double>(m.allocs) / events : 0.0);
     out += ",\"bytes_per_event\":";
-    append_number(out, events > 0.0
-                           ? static_cast<double>(m.alloc_bytes) / events
-                           : 0.0);
+    obs::append_json_number(
+        out,
+        events > 0.0 ? static_cast<double>(m.alloc_bytes) / events : 0.0);
     out += ",\"max_queue_depth\":";
     out += std::to_string(m.max_queue_depth);
     out += ",\"queue_depth_p99\":";
-    append_number(out, m.queue_depth_p99);
+    obs::append_json_number(out, m.queue_depth_p99);
     out += ",\"sift_up_steps\":";
     out += std::to_string(m.sift_up_steps);
     out += ",\"sift_down_steps\":";
@@ -161,9 +139,9 @@ std::string build_result_json(const char* name, const BenchArgs& args,
     out += ",\"scan_nodes\":";
     out += std::to_string(m.scan_nodes);
     out += ",\"scan_fanout_mean\":";
-    append_number(out, m.scan_fanout_mean());
+    obs::append_json_number(out, m.scan_fanout_mean());
     out += ",\"packet_lifetime_p99_ns\":";
-    append_number(out, m.packet_lifetime_p99_ns);
+    obs::append_json_number(out, m.packet_lifetime_p99_ns);
     out += "}";
   }
 
@@ -171,31 +149,31 @@ std::string build_result_json(const char* name, const BenchArgs& args,
   struct utsname un {};
   const bool have_uname = uname(&un) == 0;
   out += "\"os\":";
-  append_quoted(out, have_uname ? un.sysname : "unknown");
+  obs::append_json_string(out, have_uname ? un.sysname : "unknown");
   out += ",\"arch\":";
-  append_quoted(out, have_uname ? un.machine : "unknown");
+  obs::append_json_string(out, have_uname ? un.machine : "unknown");
   out += ",\"hostname\":";
-  append_quoted(out, have_uname ? un.nodename : "unknown");
+  obs::append_json_string(out, have_uname ? un.nodename : "unknown");
   const long cpus = sysconf(_SC_NPROCESSORS_ONLN);
   out += ",\"cpus\":";
   out += std::to_string(cpus > 0 ? cpus : 0);
   out += ",\"compiler\":";
 #if defined(__VERSION__)
-  append_quoted(out, __VERSION__);
+  obs::append_json_string(out, __VERSION__);
 #else
-  append_quoted(out, "unknown");
+  obs::append_json_string(out, "unknown");
 #endif
   out += ",\"build\":";
 #if defined(SLD_BENCH_BUILD_TYPE)
-  append_quoted(out, SLD_BENCH_BUILD_TYPE);
+  obs::append_json_string(out, SLD_BENCH_BUILD_TYPE);
 #else
-  append_quoted(out, "unknown");
+  obs::append_json_string(out, "unknown");
 #endif
   out += ",\"git\":";
 #if defined(SLD_BENCH_GIT_SHA)
-  append_quoted(out, SLD_BENCH_GIT_SHA);
+  obs::append_json_string(out, SLD_BENCH_GIT_SHA);
 #else
-  append_quoted(out, "unknown");
+  obs::append_json_string(out, "unknown");
 #endif
   out += "},\"timestamp_unix\":";
   out += std::to_string(static_cast<long long>(std::time(nullptr)));

@@ -8,6 +8,7 @@
 #include "attack/collusion.hpp"
 #include "attack/wormhole.hpp"
 #include "check/invariant.hpp"
+#include "sim/arq.hpp"
 #include "util/stats.hpp"
 
 namespace sld::core {
@@ -38,6 +39,9 @@ const SystemConfig& validated(const SystemConfig& config) {
         "SystemConfig: rtt_probe_repeats outside [1, kMaxProbeRepeats]");
   if (config.detecting_ids == 0)
     throw std::invalid_argument("SystemConfig: detecting_ids must be >= 1");
+  // Every attempt up to the last retry must have a timeout, or the trial
+  // throws halfway through run().
+  if (config.arq.enabled) sim::check_arq(config.arq, config.arq.max_retries);
   if (!(config.sensor_phase_start >= config.probe_phase_start))
     throw std::invalid_argument(
         "SystemConfig: sensor_phase_start before probe_phase_start");

@@ -16,31 +16,33 @@ const char* confidence_tier_name(ConfidenceTier tier) {
   return "unknown";
 }
 
-std::optional<FallbackResult> localize_with_fallback(
-    const LocationReferences& refs, const FallbackConfig& config) {
+std::optional<FallbackResult> localize(const LocationReferences& refs,
+                                       const FallbackConfig& config) {
+  const MultilaterationSolver solver;
+  // Disabled, the ladder is its first rung alone, with no RMS bound.
+  if (!config.enabled) {
+    const auto fit = solver.solve(refs);
+    if (!fit) return std::nullopt;
+    return FallbackResult{.position = fit->position,
+                          .rms_residual_ft = fit->rms_residual_ft};
+  }
   if (refs.empty()) return std::nullopt;
 
   if (refs.size() >= config.min_references) {
-    const MultilaterationSolver solver;
     if (const auto fit = solver.solve(refs);
         fit.has_value() && fit->rms_residual_ft <= config.acceptable_rms_ft) {
-      FallbackResult r;
-      r.position = fit->position;
-      r.rms_residual_ft = fit->rms_residual_ft;
-      r.tier = ConfidenceTier::kMultilateration;
-      return r;
+      return FallbackResult{.position = fit->position,
+                            .rms_residual_ft = fit->rms_residual_ft};
     }
     RobustOptions robust;
     robust.acceptable_rms_ft = config.acceptable_rms_ft;
     robust.min_references = config.min_references;
     if (const auto fit = robust_multilateration(refs, robust);
         fit.has_value()) {
-      FallbackResult r;
-      r.position = fit->fit.position;
-      r.rms_residual_ft = fit->fit.rms_residual_ft;
-      r.tier = ConfidenceTier::kRobust;
-      r.discarded = fit->discarded.size();
-      return r;
+      return FallbackResult{.position = fit->fit.position,
+                            .rms_residual_ft = fit->fit.rms_residual_ft,
+                            .tier = ConfidenceTier::kRobust,
+                            .discarded = fit->discarded.size()};
     }
   }
 
@@ -48,10 +50,8 @@ std::optional<FallbackResult> localize_with_fallback(
   // structure, so the tier is the caller's only quality signal.
   if (const auto centroid = weighted_centroid_estimate(refs);
       centroid.has_value()) {
-    FallbackResult r;
-    r.position = *centroid;
-    r.tier = ConfidenceTier::kCentroid;
-    return r;
+    return FallbackResult{.position = *centroid,
+                          .tier = ConfidenceTier::kCentroid};
   }
   return std::nullopt;
 }

@@ -12,7 +12,9 @@
 //                            residual structure — coarse but available)
 //
 // Zero references is the only unlocalizable case. Disabled (the default),
-// callers keep the seed's multilateration-or-fail behaviour.
+// the ladder is its first rung alone: the plain multilateration fit with
+// no RMS bound, and no fix below 3 references or from a degenerate
+// geometry — the seed's multilateration-or-fail behaviour.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +28,7 @@
 namespace sld::localization {
 
 struct FallbackConfig {
-  /// Master switch; off preserves the strict multilateration-only path.
+  /// Master switch; off runs only the multilateration rung, unbounded.
   bool enabled = false;
   /// A plain multilateration fit with RMS residual above this (feet)
   /// falls through to the robust estimator.
@@ -55,8 +57,9 @@ struct FallbackResult {
   std::size_t discarded = 0;
 };
 
-/// Runs the ladder. nullopt only when `refs` is empty.
-std::optional<FallbackResult> localize_with_fallback(
-    const LocationReferences& refs, const FallbackConfig& config);
+/// Runs the ladder: nullopt only when `refs` is empty. Disabled, runs the
+/// multilateration rung alone: nullopt when the solver finds no fix.
+std::optional<FallbackResult> localize(const LocationReferences& refs,
+                                       const FallbackConfig& config);
 
 }  // namespace sld::localization

@@ -63,10 +63,8 @@ std::optional<LocalizationResult> MultilaterationSolver::solve(
 
   double damping = options_.initial_damping;
   double prev_cost = rms_residual(p, references);
-  std::size_t iterations = 0;
 
   for (std::size_t it = 0; it < options_.max_iterations; ++it) {
-    ++iterations;
     // Normal equations for J^T J delta = J^T r with Levenberg damping.
     double a11 = damping, a12 = 0.0, a22 = damping, g1 = 0.0, g2 = 0.0;
     for (const auto& r : references) {
@@ -104,7 +102,6 @@ std::optional<LocalizationResult> MultilaterationSolver::solve(
 
   LocalizationResult result;
   result.position = p;
-  result.iterations = iterations;
   result.rms_residual_ft = rms_residual(p, references);
   return result;
 }

@@ -25,7 +25,6 @@ struct LocalizationResult {
   util::Vec2 position;
   /// Root-mean-square residual of |measured - distance(position, beacon)|.
   double rms_residual_ft = 0.0;
-  std::size_t iterations = 0;
 };
 
 class MultilaterationSolver {

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 #include <utility>
+
+#include "obs/json.hpp"
 
 namespace sld::obs {
 
@@ -120,67 +121,46 @@ Histogram& MetricsRegistry::histogram(const std::string& name, double lo,
                                 bucket_count, scale);
 }
 
-namespace {
-void append_number(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char num[40];
-  std::snprintf(num, sizeof(num), "%.10g", v);
-  out += num;
-}
-
-void append_quoted(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
-}  // namespace
-
 std::string MetricsRegistry::snapshot_json() const {
   std::string out;
   out.reserve(1024);
   out += "{\"counters\":{";
   for (std::size_t i = 0; i < counters_.size(); ++i) {
     if (i) out += ',';
-    append_quoted(out, counters_[i].name);
+    append_json_string(out, counters_[i].name);
     out += ':';
     out += std::to_string(counters_[i].instrument->value());
   }
   out += "},\"gauges\":{";
   for (std::size_t i = 0; i < gauges_.size(); ++i) {
     if (i) out += ',';
-    append_quoted(out, gauges_[i].name);
+    append_json_string(out, gauges_[i].name);
     out += ':';
-    append_number(out, gauges_[i].instrument->value());
+    append_json_number(out, gauges_[i].instrument->value());
   }
   out += "},\"histograms\":{";
   for (std::size_t i = 0; i < histograms_.size(); ++i) {
     if (i) out += ',';
     const Histogram& h = *histograms_[i].instrument;
-    append_quoted(out, histograms_[i].name);
+    append_json_string(out, histograms_[i].name);
     out += ":{\"count\":";
     out += std::to_string(h.count());
     out += ",\"mean\":";
-    append_number(out, h.mean());
+    append_json_number(out, h.mean());
     out += ",\"min\":";
-    append_number(out, h.min());
+    append_json_number(out, h.min());
     out += ",\"max\":";
-    append_number(out, h.max());
+    append_json_number(out, h.max());
     out += ",\"p50\":";
-    append_number(out, h.p50());
+    append_json_number(out, h.p50());
     out += ",\"p90\":";
-    append_number(out, h.p90());
+    append_json_number(out, h.p90());
     out += ",\"p99\":";
-    append_number(out, h.p99());
+    append_json_number(out, h.p99());
     out += ",\"lo\":";
-    append_number(out, h.lo());
+    append_json_number(out, h.lo());
     out += ",\"hi\":";
-    append_number(out, h.hi());
+    append_json_number(out, h.hi());
     out += ",\"scale\":";
     out += h.scale() == HistogramScale::kLog ? "\"log\"" : "\"linear\"";
     out += ",\"buckets\":[";

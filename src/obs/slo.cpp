@@ -2,33 +2,15 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
+#include "obs/json.hpp"
+
 namespace sld::obs {
 
 namespace {
-
-void append_number(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char num[40];
-  std::snprintf(num, sizeof(num), "%.10g", v);
-  out += num;
-}
-
-void append_quoted(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
 
 [[noreturn]] void fail(const std::string& rule, const std::string& why) {
   throw std::invalid_argument("SLO rule '" + rule + "': " + why);
@@ -336,7 +318,7 @@ std::string SloMonitor::verdict_json() const {
     if (i) out += ',';
     const LogEntry& entry = log_[i];
     out += "{\"rule\":";
-    append_quoted(out, entry.rule);
+    append_json_string(out, entry.rule);
     out += ",\"kind\":";
     out += entry.breach ? "\"breach\"" : "\"recover\"";
     out += ",\"t\":";
@@ -344,7 +326,7 @@ std::string SloMonitor::verdict_json() const {
     out += ",\"window\":";
     out += std::to_string(entry.window);
     out += ",\"value\":";
-    append_number(out, entry.value);
+    append_json_number(out, entry.value);
     out += '}';
   }
   out += "],\"log_dropped\":";

@@ -1,31 +1,11 @@
 #include "obs/timeseries.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
+#include "obs/json.hpp"
+
 namespace sld::obs {
-
-namespace {
-void append_number(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char num[40];
-  std::snprintf(num, sizeof(num), "%.10g", v);
-  out += num;
-}
-
-void append_quoted(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
-}  // namespace
 
 const std::uint64_t* WindowSample::counter(std::string_view name) const {
   for (const auto& [n, v] : counters)
@@ -162,7 +142,7 @@ void TimeseriesSampler::emit_window(const WindowSample& w) {
   obj += '{';
   for (std::size_t i = 0; i < w.counters.size(); ++i) {
     if (i) obj += ',';
-    append_quoted(obj, w.counters[i].first);
+    append_json_string(obj, w.counters[i].first);
     obj += ':';
     obj += std::to_string(w.counters[i].second);
   }
@@ -173,7 +153,7 @@ void TimeseriesSampler::emit_window(const WindowSample& w) {
   obj += '{';
   for (std::size_t i = 0; i < w.deltas.size(); ++i) {
     if (i) obj += ',';
-    append_quoted(obj, w.deltas[i].first);
+    append_json_string(obj, w.deltas[i].first);
     obj += ':';
     obj += std::to_string(w.deltas[i].second);
   }
@@ -184,9 +164,9 @@ void TimeseriesSampler::emit_window(const WindowSample& w) {
   obj += '{';
   for (std::size_t i = 0; i < w.gauges.size(); ++i) {
     if (i) obj += ',';
-    append_quoted(obj, w.gauges[i].first);
+    append_json_string(obj, w.gauges[i].first);
     obj += ':';
-    append_number(obj, w.gauges[i].second);
+    append_json_number(obj, w.gauges[i].second);
   }
   obj += '}';
   e.raw("gauges", obj);
@@ -196,15 +176,15 @@ void TimeseriesSampler::emit_window(const WindowSample& w) {
   for (std::size_t i = 0; i < w.hists.size(); ++i) {
     if (i) obj += ',';
     const auto& h = w.hists[i];
-    append_quoted(obj, h.name);
+    append_json_string(obj, h.name);
     obj += ":{\"count\":";
     obj += std::to_string(h.count);
     obj += ",\"p50\":";
-    append_number(obj, h.p50);
+    append_json_number(obj, h.p50);
     obj += ",\"p90\":";
-    append_number(obj, h.p90);
+    append_json_number(obj, h.p90);
     obj += ",\"p99\":";
-    append_number(obj, h.p99);
+    append_json_number(obj, h.p99);
     obj += '}';
   }
   obj += '}';

@@ -1,9 +1,9 @@
 #include "obs/trace.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <ostream>
 #include <stdexcept>
+
+#include "obs/json.hpp"
 
 namespace sld::obs {
 
@@ -23,59 +23,23 @@ void JsonlSink::write(std::string_view line) {
   ++records_;
 }
 
-namespace {
-void append_escaped(std::string& buf, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        buf += "\\\"";
-        break;
-      case '\\':
-        buf += "\\\\";
-        break;
-      case '\n':
-        buf += "\\n";
-        break;
-      case '\r':
-        buf += "\\r";
-        break;
-      case '\t':
-        buf += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char esc[8];
-          std::snprintf(esc, sizeof(esc), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          buf += esc;
-        } else {
-          buf += c;
-        }
-    }
-  }
-}
-}  // namespace
-
 Event::Event(std::string_view type, std::int64_t t_ns) {
   buf_.reserve(128);
   buf_ += "{\"t\":";
   buf_ += std::to_string(t_ns);
-  buf_ += ",\"e\":\"";
-  append_escaped(buf_, type);
-  buf_ += '"';
+  buf_ += ",\"e\":";
+  append_json_string(buf_, type);
 }
 
 void Event::key_prefix(std::string_view key) {
-  buf_ += ",\"";
-  append_escaped(buf_, key);
-  buf_ += "\":";
+  buf_ += ',';
+  append_json_string(buf_, key);
+  buf_ += ':';
 }
 
 Event& Event::f(std::string_view key, std::string_view v) {
   key_prefix(key);
-  buf_ += '"';
-  append_escaped(buf_, v);
-  buf_ += '"';
+  append_json_string(buf_, v);
   return *this;
 }
 
@@ -87,13 +51,7 @@ Event& Event::f(std::string_view key, bool v) {
 
 Event& Event::f(std::string_view key, double v) {
   key_prefix(key);
-  if (!std::isfinite(v)) {
-    buf_ += "null";  // NaN/Inf are not representable in JSON
-    return *this;
-  }
-  char num[40];
-  std::snprintf(num, sizeof(num), "%.10g", v);
-  buf_ += num;
+  append_json_number(buf_, v);
   return *this;
 }
 

@@ -34,9 +34,15 @@ struct ArqConfig {
   double jitter_fraction = 0.1;
 };
 
+/// Throws std::invalid_argument unless `config` can time `attempt`: a
+/// positive initial timeout, a backoff factor >= 1, a jitter fraction in
+/// [0, 1) (NaN fails each), and a timeout at full jitter below 2^63 ns.
+/// SystemConfig checks `max_retries`, the longest, when ARQ is enabled.
+void check_arq(const ArqConfig& config, std::size_t attempt);
+
 /// Timeout for `attempt` (0 = first transmission):
 ///   initial * backoff^attempt * (1 + U(-jitter, +jitter)).
-/// Draws from `rng` only if jitter_fraction > 0.
+/// Draws from `rng` only if jitter_fraction > 0. Throws as check_arq.
 SimTime arq_timeout(const ArqConfig& config, std::size_t attempt,
                     util::Rng& rng);
 

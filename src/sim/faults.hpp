@@ -49,8 +49,9 @@ struct GilbertElliottConfig {
 
 /// A node is offline (neither sends nor receives) during [start, end).
 /// On reboot at `end` the node has lost its volatile state: Network
-/// schedules crash/reboot transitions that run the node's Recoverable
-/// hooks, and Node-owned timers scheduled before the window never fire.
+/// schedules crash/reboot transitions that run the node's on_crash and
+/// on_reboot hooks, and Node-owned timers scheduled before the window
+/// never fire.
 struct CrashWindow {
   NodeId node = 0;
   SimTime start = 0;

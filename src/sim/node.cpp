@@ -4,7 +4,6 @@
 
 #include "check/invariant.hpp"
 #include "sim/channel.hpp"
-#include "sim/recoverable.hpp"
 
 namespace sld::sim {
 
@@ -60,7 +59,7 @@ void Node::crash_now() {
   if (down_) return;
   down_ = true;
   crash_time_ = scheduler().now();
-  if (auto* r = dynamic_cast<Recoverable*>(this)) r->on_crash(crash_time_);
+  on_crash(crash_time_);
 }
 
 void Node::reboot_now() {
@@ -75,7 +74,7 @@ void Node::reboot_now() {
                    .f("node", id_)
                    .f("down_ns", static_cast<std::int64_t>(downtime)));
   }
-  if (auto* r = dynamic_cast<Recoverable*>(this)) r->on_reboot(now, downtime);
+  on_reboot(now, downtime);
 }
 
 }  // namespace sld::sim

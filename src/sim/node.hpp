@@ -57,14 +57,25 @@ class Node {
   /// Node-owned timers dropped because the node crashed or rebooted.
   std::uint64_t timers_dropped() const { return timers_dropped_; }
 
-  /// Crash transition: marks the node down and runs its Recoverable
-  /// on_crash hook (if it implements one). Called by Network.
+  /// Crash transition: marks the node down and runs on_crash. Called by
+  /// Network.
   void crash_now();
 
   /// Reboot transition: marks the node up, bumps the boot epoch (dropping
   /// every timer scheduled before the crash), emits a `node.reboot` trace
-  /// event, and runs the Recoverable on_reboot hook. Called by Network.
+  /// event, and runs on_reboot. Called by Network.
   void reboot_now();
+
+  /// The device loses power at `now`: volatile state is gone. A node that
+  /// models state loss drops its pending transactions here; it must not
+  /// schedule events (it is down). The default keeps nothing to lose.
+  virtual void on_crash(SimTime /*now*/) {}
+
+  /// The device reboots at `now` after `downtime` ns offline. A node
+  /// re-establishes whatever schedule a freshly booted device would;
+  /// timers scheduled before the crash were invalidated by the boot-epoch
+  /// bump. The default has nothing to restart.
+  virtual void on_reboot(SimTime /*now*/, SimTime /*downtime*/) {}
 
  protected:
   Channel& channel() const;

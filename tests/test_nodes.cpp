@@ -354,6 +354,50 @@ TEST_F(NodeProtocolTest, CrashForgetsRequestsInFlight) {
   EXPECT_EQ(ctx_.metrics.sensor_replies, 1u);
 }
 
+TEST_F(NodeProtocolTest, ReplyFromAnotherBeaconAnswersNothing) {
+  // The target records each request and stays silent. An insider beacon,
+  // which shares a valid pairwise key with every requester, then answers
+  // both requests with their captured nonces. Its replies pass the MAC
+  // check, but it is not the beacon asked: neither the probe's nor the
+  // query's reply may be judged or accepted.
+  const sim::NodeId det_id = sim::kNonBeaconIdBase + 700;
+  auto& detector = net_.emplace_node<BeaconNode>(
+      1, util::Vec2{100, 100}, 150.0, ctx_, std::vector<sim::NodeId>{det_id});
+  net_.add_alias(det_id, detector);
+  auto& target =
+      net_.emplace_node<ProbeNode>(2, util::Vec2{150, 100}, 150.0);
+  const util::Vec2 insider_pos{130, 140};
+  auto& insider = net_.emplace_node<ProbeNode>(3, insider_pos, 150.0);
+  auto& sensor = net_.emplace_node<SensorNode>(
+      sim::kNonBeaconIdBase, util::Vec2{120, 130}, 150.0, ctx_);
+  ctx_.truth[insider.id()] = BeaconTruth{insider_pos, true};
+
+  detector.set_probe_targets({target.id()});
+  sensor.set_query_targets({target.id()});
+  detector.start();
+  sensor.start();
+  net_.run();
+  ASSERT_EQ(target.inbox.size(), 2u);
+  for (const auto& request : target.inbox) {
+    sim::BeaconReplyPayload reply;
+    reply.nonce = sim::BeaconRequestPayload::parse(request.msg.payload).nonce;
+    reply.claimed_position = {400, 400};
+    net_.channel().unicast(insider, authed(insider.id(), request.msg.src,
+                                           sim::MsgType::kBeaconReply,
+                                           reply.serialize()));
+  }
+  net_.run();
+  sensor.finalize();
+
+  EXPECT_EQ(ctx_.metrics.probes_sent, 1u);
+  EXPECT_EQ(ctx_.metrics.sensor_requests, 1u);
+  EXPECT_EQ(ctx_.metrics.mac_failures, 0u);
+  EXPECT_EQ(ctx_.metrics.probe_replies, 0u);
+  EXPECT_EQ(ctx_.metrics.consistency_flags, 0u);
+  EXPECT_EQ(ctx_.metrics.sensor_replies, 0u);
+  EXPECT_TRUE(ctx_.metrics.affected_by_malicious.empty());
+}
+
 TEST_F(NodeProtocolTest, BeaconRejectsMoreProbeRoundsThanItHolds) {
   // A probe keeps its samples inline; a node built from an unchecked
   // config must not write past them.

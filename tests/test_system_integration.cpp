@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "obs/slo.hpp"
@@ -197,6 +199,35 @@ TEST(SystemConfigValidation, ClearThresholdAboveQuarantineThresholdIsRejected) {
   // The lifecycle off ignores the threshold.
   c.revocation.lifecycle.enabled = false;
   c.revocation.lifecycle.clear_threshold = 100.0;
+  EXPECT_NO_THROW(SecureLocalizationSystem{c});
+}
+
+TEST(SystemConfigValidation, UnusableArqIsRejectedWhenEnabled) {
+  // The first request's timeout used to throw inside run(), and a timeout
+  // past SimTime's range only on the retry that reached it: the default
+  // 250 ms doubled 64 times is about 4.6e27 ns, past 2^63 (9.2e18).
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::function<void(sim::ArqConfig&)>> breaks = {
+      [](sim::ArqConfig& a) { a.backoff_factor = kNaN; },
+      [](sim::ArqConfig& a) { a.backoff_factor = 0.5; },
+      [](sim::ArqConfig& a) { a.jitter_fraction = kNaN; },
+      [](sim::ArqConfig& a) { a.jitter_fraction = 1.0; },
+      [](sim::ArqConfig& a) { a.jitter_fraction = 1.5; },
+      [](sim::ArqConfig& a) { a.initial_timeout_ns = 0; },
+      [](sim::ArqConfig& a) { a.initial_timeout_ns = -sim::kMillisecond; },
+      [](sim::ArqConfig& a) { a.max_retries = 64; },
+  };
+  for (const auto& make_bad : breaks) {
+    SystemConfig c = small_config();
+    make_bad(c.arq);
+    c.arq.enabled = true;
+    expect_rejected(c, "ArqConfig");
+    // ARQ off reads none of it.
+    c.arq.enabled = false;
+    EXPECT_NO_THROW(SecureLocalizationSystem{c});
+  }
+  SystemConfig c = small_config();
+  c.arq.enabled = true;
   EXPECT_NO_THROW(SecureLocalizationSystem{c});
 }
 

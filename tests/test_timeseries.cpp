@@ -294,6 +294,24 @@ TEST(SloMonitor, EmitsBreachAndRecoverEventsAndVerdictJson) {
   EXPECT_NE(verdict.find("\"healthy\":true"), std::string::npos);
 }
 
+TEST(SloMonitor, VerdictJsonEscapesControlBytesInRuleNames) {
+  // A rule name is outside input (--slo, SystemConfig::slo_rules), and the
+  // verdict is spliced into metrics_json: a raw control byte there is not
+  // JSON.
+  obs::SloMonitor mon(obs::parse_slo_spec("bad\x01" "name total(x) > 0"));
+  obs::WindowSample w;
+  w.t_end_ns = 100 * kMs;
+  w.counters.emplace_back("x", std::uint64_t{1});
+  mon.on_window(w);
+  ASSERT_EQ(mon.breaches(), 1u);
+  const std::string verdict = mon.verdict_json();
+  EXPECT_NE(verdict.find("\"rule\":\"bad\\u0001name\""), std::string::npos)
+      << verdict;
+  EXPECT_TRUE(std::none_of(verdict.begin(), verdict.end(), [](char c) {
+    return static_cast<unsigned char>(c) < 0x20;
+  })) << verdict;
+}
+
 TEST(SloMonitor, BurnRateDividesDeltaRatioByObjective) {
   obs::SloMonitor mon(
       obs::parse_slo_spec("b burn(bad/total, 0.1) > 1 sustain=1"));

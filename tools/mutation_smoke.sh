@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Mutation smoke test: applies 23 curated single-line mutants to the
+# Mutation smoke test: applies 25 curated single-line mutants to the
 # detection/revocation/sim/crypto/core/obs/ranging sources and verifies the
 # test suite kills every one (at least one registered test fails per
 # mutant). A mutant that survives means a guard has no test teeth — the
@@ -97,8 +97,8 @@ add_mutant "arq-backoff-exponent" \
 
 add_mutant "probe-retry-off-by-one" \
   "src/core/nodes.cpp" \
-  "if (probe.attempt < ctx_.config.arq.max_retries) {" \
-  "if (probe.attempt <= ctx_.config.arq.max_retries) {" \
+  "if (entry.attempt < ctx_.config.arq.max_retries) {" \
+  "if (entry.attempt <= ctx_.config.arq.max_retries) {" \
   "test_invariants"
 
 add_mutant "scheduler-boundary-exclusive" \
@@ -159,9 +159,23 @@ add_mutant "readthrough-no-latch" \
 add_mutant "pending-reply-keeps-entry" \
   "src/core/nodes.cpp" \
   "  pending_.erase(found);
-  if (delivery.msg.src != probe.target) return;  // mismatched responder" \
-  "  if (delivery.msg.src != probe.target) return;  // mismatched responder" \
+" \
+  "" \
   "test_nodes"
+
+add_mutant "requester-accepts-any-responder" \
+  "src/core/nodes.cpp" \
+  "  if (delivery.msg.src != request.target) return std::nullopt;
+" \
+  "" \
+  "test_nodes"
+
+add_mutant "validated-skips-arq" \
+  "src/core/secure_localization.cpp" \
+  "  if (config.arq.enabled) sim::check_arq(config.arq, config.arq.max_retries);
+" \
+  "" \
+  "test_system_integration"
 
 add_mutant "channel-find-skips-aliases" \
   "src/sim/channel.cpp" \
