@@ -30,10 +30,6 @@
 
 namespace sld::core {
 
-/// Largest `SystemConfig::rtt_probe_repeats`: a probe keeps its samples
-/// inline, in arrays of this size.
-inline constexpr std::size_t kMaxProbeRepeats = 5;
-
 /// Which distance-measurement feature the deployment uses (paper §1 lists
 /// RSSI, ToA, TDoA, AoA; §2.3 notes the detector works with any feature
 /// that yields a bounded-error distance).
@@ -109,20 +105,13 @@ struct SystemConfig {
   /// failing. Default: disabled, the seed's multilateration-or-fail.
   localization::FallbackConfig fallback;
 
-  /// Probability a sensor learns a given revocation (paper: ~1 thanks to
-  /// retransmission).
-  double revocation_reach_probability = 1.0;
-
   /// Samples for the Figure-4 RTT calibration that fixes x_max.
   std::size_t rtt_calibration_samples = 10'000;
 
-  /// Per-delivery radio loss probability (failure injection; the paper
-  /// assumes reliable delivery via retransmission, so default 0).
-  double channel_loss_probability = 0.0;
-
-  /// Composable channel fault injection: i.i.d. + bursty loss,
-  /// duplication, corruption, delay jitter, crash windows. Default: all
-  /// off, reproducing the paper's reliable-delivery assumption exactly.
+  /// Composable channel fault injection, the radio's only loss: i.i.d. +
+  /// bursty loss, duplication, corruption, delay jitter, crash windows.
+  /// Default: all off, reproducing the paper's reliable-delivery
+  /// assumption exactly.
   sim::FaultPlan faults;
 
   /// Base-station durability and availability: snapshot/WAL persistence,
@@ -140,12 +129,6 @@ struct SystemConfig {
   /// (timeout / max retries / exponential backoff with jitter). Disabled
   /// by default: requests are sent once, exactly the seed behaviour.
   sim::ArqConfig arq;
-
-  /// k: how many request/reply rounds each probe performs; the detector
-  /// evaluates the *median* measured distance and RTT, so one delayed
-  /// retransmission cannot trigger a false local-replay verdict. k = 1
-  /// reproduces the single-shot paper protocol. At most kMaxProbeRepeats.
-  std::size_t rtt_probe_repeats = 1;
 
   /// Per-attempt loss probability of the alert transport (detecting
   /// beacon -> base station, typically multi-hop). Retried under `arq`;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -16,22 +15,6 @@
 namespace sld::core {
 
 namespace {
-/// Median of a probe's filled samples (reorders them; averages the two
-/// middle elements for even sizes). One sample is returned bit-for-bit,
-/// which keeps the default k = 1 probe exact.
-double median_of(std::span<double> samples) {
-  const std::size_t n = samples.size();
-  const std::size_t mid = n / 2;
-  std::nth_element(samples.begin(), samples.begin() + static_cast<std::ptrdiff_t>(mid),
-                   samples.end());
-  const double upper = samples[mid];
-  if (n % 2 == 1) return upper;
-  const double lower =
-      *std::max_element(samples.begin(),
-                        samples.begin() + static_cast<std::ptrdiff_t>(mid));
-  return (lower + upper) / 2.0;
-}
-
 /// Builds the authenticated wire message for a payload.
 sim::Message make_message(const crypto::PairwiseKeyManager& keys,
                           sim::NodeId src, sim::NodeId dst, sim::MsgType type,
@@ -61,8 +44,6 @@ SystemContext::SystemContext(const SystemConfig& cfg)
       timing(cfg.timing),
       cluster(cfg.revocation, cfg.failover),
       ingest(cfg.ingest, cluster),
-      dissemination(cfg.revocation_reach_probability,
-                    cfg.seed ^ 0xd15534731a7e0000ULL),
       rng(cfg.seed) {
   // Calibrate the RTT filter exactly the way the paper does: measure the
   // no-attack distribution and take x_max as the acceptance threshold.
@@ -101,13 +82,7 @@ SystemContext::SystemContext(const SystemConfig& cfg)
                                   revocation::AlertDisposition disposition,
                                   sim::SimTime /*enqueued_at*/,
                                   sim::SimTime committed_at) {
-      if (disposition == revocation::AlertDisposition::kAccepted ||
-          disposition == revocation::AlertDisposition::kAcceptedAndRevoked) {
-        alert_counter_hist->observe(
-            static_cast<double>(cluster.alert_counter(target)));
-      }
-      if (disposition == revocation::AlertDisposition::kAcceptedAndRevoked)
-        metrics.revocation_times.emplace_back(target, committed_at);
+      record_committed(target, disposition, committed_at);
     });
   }
   switch (cfg.wormhole_detector_type) {
@@ -213,13 +188,7 @@ void SystemContext::deliver_alert_attempt(sim::NodeId reporter,
       }
       const auto disposition =
           cluster.process_alert(scheduler->now(), reporter, target, nonce);
-      if (disposition == revocation::AlertDisposition::kAccepted ||
-          disposition == revocation::AlertDisposition::kAcceptedAndRevoked) {
-        alert_counter_hist->observe(
-            static_cast<double>(cluster.alert_counter(target)));
-      }
-      if (disposition == revocation::AlertDisposition::kAcceptedAndRevoked)
-        metrics.revocation_times.emplace_back(target, scheduler->now());
+      record_committed(target, disposition, scheduler->now());
       return;
     }
     // Pipeline path: an enqueued (or pair-absorbed) alert is acked — its
@@ -269,6 +238,19 @@ void SystemContext::deliver_alert_attempt(sim::NodeId reporter,
                       .f("target", target)
                       .f("attempt", static_cast<std::uint64_t>(attempt)));
     }
+  }
+}
+
+void SystemContext::record_committed(sim::NodeId target,
+                                     revocation::AlertDisposition disposition,
+                                     sim::SimTime at) {
+  if (disposition == revocation::AlertDisposition::kAccepted ||
+      disposition == revocation::AlertDisposition::kAcceptedAndRevoked) {
+    alert_counter_hist->observe(
+        static_cast<double>(cluster.alert_counter(target)));
+  }
+  if (disposition == revocation::AlertDisposition::kAcceptedAndRevoked) {
+    metrics.revocation_times.emplace_back(target, at);
   }
 }
 
@@ -325,56 +307,53 @@ constexpr RequestKind kQueryRequests{
     "query", "query.send", false, &Metrics::sensor_requests,
     &Metrics::sensor_retransmissions, &Metrics::sensor_no_response};
 
-template <typename Entry>
-Requester<Entry>::Requester(sim::NodeId id, util::Vec2 position,
-                            double range_ft, SystemContext& ctx,
-                            const RequestKind& kind, std::uint64_t rng_salt)
+Requester::Requester(sim::NodeId id, util::Vec2 position, double range_ft,
+                     SystemContext& ctx, const RequestKind& kind,
+                     std::uint64_t rng_salt)
     : sim::Node(id, position, range_ft),
       ctx_(ctx),
       pending_(&ctx.node_memory),
       rng_(ctx.rng.fork(rng_salt + id)),
       kind_(kind) {}
 
-template <typename Entry>
-void Requester<Entry>::send_request(const Entry& entry,
-                                    bool is_retransmission) {
-  SLD_INVARIANT(entry.attempt <= ctx_.config.arq.max_retries,
+void Requester::send_request(const Request& request, bool is_retransmission) {
+  SLD_INVARIANT(request.attempt <= ctx_.config.arq.max_retries,
                 "retries bounded: " << kind_.name << " attempt "
-                    << entry.attempt << " exceeds max_retries="
+                    << request.attempt << " exceeds max_retries="
                     << ctx_.config.arq.max_retries);
   sim::BeaconRequestPayload req;
   req.nonce = rng_();
   const std::uint64_t nonce = req.nonce;
-  pending_.add(nonce, entry);
+  pending_.add(nonce, request);
   ++(ctx_.metrics.*(is_retransmission ? kind_.retransmissions : kind_.sent));
   if (ctx_.tracer.on()) {
     obs::Event event = ctx_.tracer.event(kind_.send_event);
     event.f("node", id());
-    if (kind_.traces_from) event.f("det_id", entry.from);
-    event.f("target", entry.target)
+    if (kind_.traces_from) event.f("det_id", request.from);
+    event.f("target", request.target)
         .f("nonce", nonce)
-        .f("attempt", static_cast<std::uint64_t>(entry.attempt))
+        .f("attempt", static_cast<std::uint64_t>(request.attempt))
         .f("retx", is_retransmission);
     ctx_.tracer.emit(event);
   }
-  channel().unicast(*this, make_message(ctx_.keys, entry.from, entry.target,
+  channel().unicast(*this, make_message(ctx_.keys, request.from,
+                                        request.target,
                                         sim::MsgType::kBeaconRequest,
                                         req.serialize()));
   if (ctx_.config.arq.enabled) {
     const sim::SimTime timeout =
-        sim::arq_timeout(ctx_.config.arq, entry.attempt, rng_);
+        sim::arq_timeout(ctx_.config.arq, request.attempt, rng_);
     // Boot-epoch-fenced: a timeout scheduled before a crash must not fire
     // into the rebooted node's fresh state.
     schedule_timer(timeout, [this, nonce]() { on_timeout(nonce); });
   }
 }
 
-template <typename Entry>
-void Requester<Entry>::on_timeout(std::uint64_t nonce) {
+void Requester::on_timeout(std::uint64_t nonce) {
   SLD_MEM_SCOPE("arq");
-  const Entry* unanswered = pending_.find(nonce);
+  const Request* unanswered = pending_.find(nonce);
   if (unanswered == nullptr) return;  // a reply arrived in time
-  Entry entry = *unanswered;
+  Request entry = *unanswered;
   pending_.erase(unanswered);
   const auto trace = [&](const char* event) {
     if (!ctx_.tracer.on()) return;
@@ -388,7 +367,7 @@ void Requester<Entry>::on_timeout(std::uint64_t nonce) {
   trace("arq.timeout");
   if (entry.attempt < ctx_.config.arq.max_retries) {
     // Retransmit under a fresh nonce: a straggling reply to the old nonce
-    // is ignored and the new round's RTT clock starts clean, so the
+    // is ignored and the retransmission's RTT clock starts clean, so the
     // timeout itself can never read as replay delay.
     ++entry.attempt;
     trace("arq.retry");
@@ -402,17 +381,16 @@ void Requester<Entry>::on_timeout(std::uint64_t nonce) {
   trace("arq.giveup");
 }
 
-template <typename Entry>
-auto Requester<Entry>::match_reply(const sim::Delivery& delivery)
+auto Requester::match_reply(const sim::Delivery& delivery)
     -> std::optional<Answer> {
   if (!verify(ctx_.keys, delivery.msg)) {
     ++ctx_.metrics.mac_failures;
     return std::nullopt;
   }
   const auto reply = sim::BeaconReplyPayload::parse(delivery.msg.payload);
-  const Entry* found = pending_.find(reply.nonce);
+  const Request* found = pending_.find(reply.nonce);
   if (found == nullptr) return std::nullopt;  // duplicate or stale
-  const Entry request = *found;
+  const Request request = *found;
   pending_.erase(found);
   // Only the beacon asked may answer: another holds its own pairwise key
   // with this ID, so its MAC verifies, but its reply says nothing of the
@@ -421,20 +399,13 @@ auto Requester<Entry>::match_reply(const sim::Delivery& delivery)
   return Answer{request, reply};
 }
 
-template class Requester<Request>;
-template class Requester<Probe>;
-
 // --- BeaconNode ----------------------------------------------------------
 
 BeaconNode::BeaconNode(sim::NodeId id, util::Vec2 position, double range_ft,
                        SystemContext& ctx,
                        std::vector<sim::NodeId> detecting_ids)
     : Requester(id, position, range_ft, ctx, kProbeRequests, 0xbea0000ULL),
-      detecting_ids_(std::move(detecting_ids)) {
-  if (ctx.config.rtt_probe_repeats > kMaxProbeRepeats)
-    throw std::invalid_argument(
-        "BeaconNode: rtt_probe_repeats exceeds kMaxProbeRepeats");
-}
+      detecting_ids_(std::move(detecting_ids)) {}
 
 void BeaconNode::set_probe_targets(std::vector<sim::NodeId> targets) {
   probe_targets_ = std::move(targets);
@@ -453,18 +424,16 @@ void BeaconNode::schedule_probes() {
     for (const auto detecting_id : detecting_ids_) {
       at += ctx_.config.transmission_stagger;
       schedule_timer_at(at, [this, target, detecting_id]() {
-        Probe probe;
-        probe.target = target;
-        probe.from = detecting_id;
-        send_request(probe, /*is_retransmission=*/false);
+        send_request({.target = target, .from = detecting_id},
+                     /*is_retransmission=*/false);
       });
     }
   }
 }
 
 void BeaconNode::on_crash(sim::SimTime) {
-  // Volatile state dies with the node: in-flight probe rounds (their ARQ
-  // timers are epoch-fenced) and the memory of which targets were already
+  // Volatile state dies with the node: in-flight probes (their ARQ timers
+  // are epoch-fenced) and the memory of which targets were already
   // reported.
   pending_.clear();
   reported_.clear();
@@ -505,9 +474,9 @@ void BeaconNode::handle_request(const sim::Delivery& delivery) {
 
 void BeaconNode::handle_probe_reply(const sim::Delivery& delivery) {
   SLD_MEM_SCOPE("detection");
-  auto answer = match_reply(delivery);
+  const auto answer = match_reply(delivery);
   if (!answer) return;
-  Probe& probe = answer->request;
+  const sim::NodeId target = answer->request.target;
   const sim::BeaconReplyPayload& reply = answer->reply;
   ++ctx_.metrics.probe_replies;
 
@@ -519,34 +488,21 @@ void BeaconNode::handle_probe_reply(const sim::Delivery& delivery) {
   if (ctx_.tracer.on()) {
     ctx_.tracer.emit(ctx_.tracer.event("probe.reply")
                          .f("node", id())
-                         .f("target", probe.target)
+                         .f("target", target)
                          .f("nonce", reply.nonce)
                          .f("dist_ft", m.distance_ft)
                          .f("rtt_cycles", m.rtt_cycles));
   }
-  probe.rtt_samples[probe.samples] = m.rtt_cycles;
-  probe.dist_samples[probe.samples] = m.distance_ft;
-  ++probe.samples;
-
-  // Median-of-k probing: keep exchanging until k rounds answered, then
-  // judge the median measurement (k = 1: this round's values verbatim).
-  if (probe.samples < ctx_.config.rtt_probe_repeats) {
-    probe.attempt = 0;  // fresh ARQ budget for the next round
-    send_request(probe, /*is_retransmission=*/false);
-    return;
-  }
 
   detection::SignalObservation obs;
   obs.receiver_id = id();
-  obs.sender_id = probe.target;
+  obs.sender_id = target;
   obs.receiver_position = position();
   obs.receiver_knows_position = true;
   obs.claimed_position = reply.claimed_position;
-  obs.measured_distance_ft =
-      median_of(std::span(probe.dist_samples).first(probe.samples));
+  obs.measured_distance_ft = m.distance_ft;
   obs.target_range_ft = ctx_.config.deployment.comm_range_ft;
-  obs.observed_rtt_cycles =
-      median_of(std::span(probe.rtt_samples).first(probe.samples));
+  obs.observed_rtt_cycles = m.rtt_cycles;
   obs.via_wormhole = delivery.ctx.via_wormhole;
   obs.sender_faked_wormhole_indication = reply.fake_wormhole_indication;
 
@@ -564,8 +520,8 @@ void BeaconNode::handle_probe_reply(const sim::Delivery& delivery) {
     case detection::ProbeOutcome::kAlert:
       ++ctx_.metrics.consistency_flags;
       // One alert per (reporter, target) pair.
-      if (reported_.insert(probe.target).second)
-        ctx_.submit_alert(id(), probe.target, /*collusion_alert=*/false);
+      if (reported_.insert(target).second)
+        ctx_.submit_alert(id(), target, /*collusion_alert=*/false);
       return;
     case detection::ProbeOutcome::kNoResponse:
       return;  // evaluate() never returns this; a probe with no reply is
@@ -734,10 +690,7 @@ void SensorNode::finalize() {
   localization::LocationReferences& refs = ctx_.finalize_refs;
   refs.clear();
   for (const AcceptedReference& acc : accepted_) {
-    const bool revoked = ctx_.bs().is_revoked(acc.ref.beacon_id) &&
-                         ctx_.dissemination.sensor_knows(id(),
-                                                         acc.ref.beacon_id);
-    if (revoked) {
+    if (ctx_.bs().is_revoked(acc.ref.beacon_id)) {
       ++ctx_.metrics.sensor_refs_dropped_revoked;
       if (ctx_.tracer.on()) {
         ctx_.tracer.emit(ctx_.tracer.event("sensor.drop_revoked")
@@ -746,13 +699,10 @@ void SensorNode::finalize() {
       }
       continue;
     }
-    // Quarantine is disseminated like a (reversible) revocation notice:
-    // sensors that heard it sequester the reference. is_quarantined
-    // short-circuits to false while the lifecycle is disabled.
-    const bool quarantined =
-        ctx_.bs().is_quarantined(acc.ref.beacon_id, now) &&
-        ctx_.dissemination.sensor_knows(id(), acc.ref.beacon_id);
-    if (quarantined) {
+    // Quarantine reaches the sensors like a (reversible) revocation notice,
+    // and they sequester the reference. is_quarantined short-circuits to
+    // false while the lifecycle is disabled.
+    if (ctx_.bs().is_quarantined(acc.ref.beacon_id, now)) {
       ++ctx_.metrics.sensor_refs_dropped_quarantined;
       if (ctx_.tracer.on()) {
         ctx_.tracer.emit(ctx_.tracer.event("sensor.drop_quarantined")

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -31,7 +30,6 @@
 #include "ranging/toa.hpp"
 #include "ranging/wormhole_detector.hpp"
 #include "revocation/base_station.hpp"
-#include "revocation/dissemination.hpp"
 #include "revocation/failover.hpp"
 #include "revocation/shard.hpp"
 #include "sim/network.hpp"
@@ -142,7 +140,6 @@ struct SystemContext {
   revocation::IngestPipeline ingest;
   /// The station whose word currently counts (revocation list, counters).
   const revocation::BaseStation& bs() const { return cluster.authority(); }
-  revocation::DisseminationModel dissemination;
   std::unordered_map<sim::NodeId, BeaconTruth> truth;
   Metrics metrics;
   util::Rng rng;
@@ -201,6 +198,14 @@ struct SystemContext {
   void deliver_alert_attempt(sim::NodeId reporter, sim::NodeId target,
                              std::uint64_t nonce, std::size_t attempt);
 
+  /// Books an alert the base station has counted at time `at`: an accepted
+  /// one observes its target's counter in bs.alert_counter, and one that
+  /// revoked also appends to revocation_times. The ingest commit hook and
+  /// the pipeline-off delivery path both book through here.
+  void record_committed(sim::NodeId target,
+                        revocation::AlertDisposition disposition,
+                        sim::SimTime at);
+
   /// Measured distance + observed RTT for one received beacon reply.
   struct SignalMeasurement {
     double distance_ft = 0.0;
@@ -219,65 +224,54 @@ struct SystemContext {
                             double rtt_skew_cycles = 0.0) const;
 };
 
-/// The requests a node has in flight, by nonce. A node has under ten
-/// outstanding at a time (5 ms stagger, ~34 ms round trip), so a linear
-/// scan finds one, and removal moves the last entry into the hole. Nothing
-/// reads the order.
-template <typename Entry>
-class PendingTable {
- public:
-  explicit PendingTable(std::pmr::memory_resource* memory)
-      : nonces_(memory), entries_(memory) {}
-
-  void reserve(std::size_t n) {
-    nonces_.reserve(n);
-    entries_.reserve(n);
-  }
-  void add(std::uint64_t nonce, const Entry& entry) {
-    nonces_.push_back(nonce);
-    entries_.push_back(entry);
-  }
-  /// The entry sent under `nonce`, or nullptr.
-  const Entry* find(std::uint64_t nonce) const {
-    const auto it = std::find(nonces_.begin(), nonces_.end(), nonce);
-    if (it == nonces_.end()) return nullptr;
-    return &entries_[static_cast<std::size_t>(it - nonces_.begin())];
-  }
-  /// Removes an entry find() returned.
-  void erase(const Entry* entry) {
-    const auto i = static_cast<std::size_t>(entry - entries_.data());
-    nonces_[i] = nonces_.back();
-    entries_[i] = entries_.back();
-    nonces_.pop_back();
-    entries_.pop_back();
-  }
-  void clear() {
-    nonces_.clear();
-    entries_.clear();
-  }
-
- private:
-  std::pmr::vector<std::uint64_t> nonces_;
-  std::pmr::vector<Entry> entries_;
-};
-
 /// One beacon request in flight: the beacon asked, the ID the request went
 /// out under (a detecting ID for a probe, the node's own for a query), and
-/// the retransmissions used for the current round.
+/// the retransmissions used so far.
 struct Request {
   sim::NodeId target = 0;
   sim::NodeId from = 0;
   std::size_t attempt = 0;
 };
 
-/// A probe in flight: a request plus the measurements of the rounds of a
-/// median-of-k probe answered so far. Each round goes out under a fresh
-/// nonce, so a retransmitted round restarts its RTT clock instead of
-/// absorbing the timeout.
-struct Probe : Request {
-  std::size_t samples = 0;  // rounds answered: the filled prefix below
-  std::array<double, kMaxProbeRepeats> rtt_samples{};
-  std::array<double, kMaxProbeRepeats> dist_samples{};
+/// The requests a node has in flight, by nonce. A node has under ten
+/// outstanding at a time (5 ms stagger, ~34 ms round trip), so a linear
+/// scan finds one, and removal moves the last entry into the hole. Nothing
+/// reads the order.
+class PendingTable {
+ public:
+  explicit PendingTable(std::pmr::memory_resource* memory)
+      : nonces_(memory), requests_(memory) {}
+
+  void reserve(std::size_t n) {
+    nonces_.reserve(n);
+    requests_.reserve(n);
+  }
+  void add(std::uint64_t nonce, const Request& request) {
+    nonces_.push_back(nonce);
+    requests_.push_back(request);
+  }
+  /// The request sent under `nonce`, or nullptr.
+  const Request* find(std::uint64_t nonce) const {
+    const auto it = std::find(nonces_.begin(), nonces_.end(), nonce);
+    if (it == nonces_.end()) return nullptr;
+    return &requests_[static_cast<std::size_t>(it - nonces_.begin())];
+  }
+  /// Removes a request find() returned.
+  void erase(const Request* request) {
+    const auto i = static_cast<std::size_t>(request - requests_.data());
+    nonces_[i] = nonces_.back();
+    requests_[i] = requests_.back();
+    nonces_.pop_back();
+    requests_.pop_back();
+  }
+  void clear() {
+    nonces_.clear();
+    requests_.clear();
+  }
+
+ private:
+  std::pmr::vector<std::uint64_t> nonces_;
+  std::pmr::vector<Request> requests_;
 };
 
 /// The counters and trace names of one kind of request (nodes.cpp).
@@ -290,22 +284,21 @@ struct RequestKind;
 /// owns the requests in flight and runs that exchange once for both: the
 /// nonce, the send, the ARQ timeout and retransmission, and the reply
 /// match. Each node keeps only what a matched reply means to it.
-template <typename Entry>
 class Requester : public sim::Node {
  protected:
   Requester(sim::NodeId id, util::Vec2 position, double range_ft,
             SystemContext& ctx, const RequestKind& kind,
             std::uint64_t rng_salt);
 
-  /// Sends `entry`'s request from `entry.from` under a fresh nonce and
-  /// keeps it in flight. With ARQ on, a round left unanswered at its
-  /// timeout is retransmitted under another fresh nonce, up to
-  /// max_retries, and then given up.
-  void send_request(const Entry& entry, bool is_retransmission);
+  /// Sends `request` from `request.from` under a fresh nonce and keeps it
+  /// in flight. With ARQ on, a request left unanswered at its timeout is
+  /// retransmitted under another fresh nonce, up to max_retries, and then
+  /// given up.
+  void send_request(const Request& request, bool is_retransmission);
 
   /// A verified reply and the request it answers.
   struct Answer {
-    Entry request;
+    Request request;
     sim::BeaconReplyPayload reply;
   };
   /// Takes the request `delivery` answers out of flight. nullopt for a
@@ -315,7 +308,7 @@ class Requester : public sim::Node {
   std::optional<Answer> match_reply(const sim::Delivery& delivery);
 
   SystemContext& ctx_;
-  PendingTable<Entry> pending_;
+  PendingTable pending_;
   util::Rng rng_;
 
  private:
@@ -332,7 +325,7 @@ class Requester : public sim::Node {
 /// phase restarts the probe schedule from scratch; the base station's nonce
 /// dedup keeps re-transported alert copies idempotent, while a genuinely
 /// re-detected alert after reboot counts as fresh evidence.
-class BeaconNode final : public Requester<Probe> {
+class BeaconNode final : public Requester {
  public:
   BeaconNode(sim::NodeId id, util::Vec2 position, double range_ft,
              SystemContext& ctx, std::vector<sim::NodeId> detecting_ids);
@@ -391,7 +384,7 @@ class MaliciousBeaconNode final : public sim::Node {
 /// references are volatile; a reboot inside the sensor phase re-queries
 /// every target from scratch. A sensor that is down when finalize() fires
 /// counts as unlocalized.
-class SensorNode final : public Requester<Request> {
+class SensorNode final : public Requester {
  public:
   SensorNode(sim::NodeId id, util::Vec2 position, double range_ft,
              SystemContext& ctx);

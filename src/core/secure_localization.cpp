@@ -14,13 +14,6 @@
 namespace sld::core {
 
 namespace {
-sim::ChannelConfig channel_config_for(const SystemConfig& config) {
-  sim::ChannelConfig cc;
-  cc.loss_probability = config.channel_loss_probability;
-  cc.faults = config.faults;
-  return cc;
-}
-
 /// Rejects the settings a trial would otherwise drop without a word.
 const SystemConfig& validated(const SystemConfig& config) {
   if (!config.slo_rules.empty() && !config.telemetry.enabled)
@@ -33,10 +26,6 @@ const SystemConfig& validated(const SystemConfig& config) {
         config.alert_loss_probability <= 1.0))
     throw std::invalid_argument(
         "SystemConfig: alert_loss_probability outside [0, 1]");
-  if (!(config.rtt_probe_repeats >= 1 &&
-        config.rtt_probe_repeats <= kMaxProbeRepeats))
-    throw std::invalid_argument(
-        "SystemConfig: rtt_probe_repeats outside [1, kMaxProbeRepeats]");
   if (config.detecting_ids == 0)
     throw std::invalid_argument("SystemConfig: detecting_ids must be >= 1");
   // Every attempt up to the last retry must have a timeout, or the trial
@@ -64,7 +53,8 @@ const SystemConfig& validated(const SystemConfig& config) {
 SecureLocalizationSystem::SecureLocalizationSystem(SystemConfig config)
     : config_(validated(config)),
       ctx_(std::make_unique<SystemContext>(config_)),
-      network_(channel_config_for(config_), config_.seed ^ 0xc4a27e1ULL),
+      network_(sim::ChannelConfig{.faults = config_.faults},
+               config_.seed ^ 0xc4a27e1ULL),
       detecting_registry_(sim::kNonBeaconIdBase, sim::kNonBeaconIdLimit) {
   {
     obs::ScopedTimerMs timer(ctx_->instruments, "phase.deployment_ms");
@@ -115,7 +105,6 @@ SecureLocalizationSystem::SecureLocalizationSystem(SystemConfig config)
   ctx_->detector->set_tracer(tracer);
   ctx_->cluster.set_tracer(tracer);
   ctx_->ingest.set_tracer(tracer);
-  ctx_->dissemination.set_tracer(tracer);
 
   setup_telemetry();
   setup_memstats();
@@ -283,8 +272,7 @@ void SecureLocalizationSystem::setup_telemetry() {
   reg.counter("channel.deliveries", [&ch] { return ch.stats().deliveries; });
   reg.counter("channel.drops", [&ch] {
     const sim::ChannelStats& st = ch.stats();
-    return st.losses + st.dropped_by_fault + st.partition_drops +
-           st.crashed_drops;
+    return st.dropped_by_fault + st.partition_drops + st.crashed_drops;
   });
   reg.counter("alerts.submitted",
               [&ctx] { return ctx.metrics.alerts_submitted; });

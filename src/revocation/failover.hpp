@@ -180,11 +180,6 @@ class BaseStationCluster {
   };
   const std::vector<Transition>& transitions() const { return transitions_; }
 
-  /// How many of transitions() advance() has applied so far. Lets layered
-  /// consumers (the ingest pipeline) detect crashes/takeovers that slipped
-  /// between their own advance() calls without re-deriving the schedule.
-  std::size_t transitions_applied() const { return next_transition_; }
-
  private:
   void apply(const Transition& tr);
 

@@ -150,11 +150,7 @@ class IngestPipeline {
   BreakerState breaker_state(sim::SimTime now) const {
     return admission_.state(now);
   }
-  const AdmissionController& admission() const { return admission_; }
   std::size_t queue_depth() const;
-  std::size_t queue_depth(std::size_t shard) const {
-    return shards_[shard].queue.size();
-  }
   std::size_t deferred_outstanding() const { return deferred_.size(); }
 
  private:

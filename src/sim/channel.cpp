@@ -46,14 +46,8 @@ const char* msg_type_name(MsgType type) {
 Channel::Channel(Scheduler& scheduler, ChannelConfig config, util::Rng rng)
     : scheduler_(scheduler),
       config_(std::move(config)),
-      rng_(rng),
-      // The injector gets its own forked stream so enabling faults never
-      // perturbs the delivery-loss draws of the main stream (and a
-      // disabled plan never draws at all).
-      faults_(config_.faults, rng.fork(0xfa0175)) {
-  if (!(config_.loss_probability >= 0.0 && config_.loss_probability <= 1.0))
-    throw std::invalid_argument("Channel: loss probability outside [0, 1]");
-}
+      // A disabled plan never draws at all.
+      faults_(config_.faults, rng.fork(0xfa0175)) {}
 
 void Channel::add_node(Node* node) {
   if (node == nullptr) throw std::invalid_argument("Channel::add_node: null");
@@ -83,22 +77,10 @@ void Channel::add_wormhole(WormholeLink link) {
   wormholes_.push_back(link);
 }
 
-void Channel::add_observer(RadioObserver* observer) {
-  if (observer == nullptr)
-    throw std::invalid_argument("Channel::add_observer: null");
-  observers_.push_back(observer);
-}
-
 SimTime Channel::packet_airtime_ns(std::size_t payload_bytes) const {
   const double bits = static_cast<double>(
                           (payload_bytes + config_.frame_overhead_bytes) * 8);
   return static_cast<SimTime>(bits / kRadioBitsPerSecond * 1e9);
-}
-
-double Channel::packet_airtime_cycles(std::size_t payload_bytes) const {
-  const double bits = static_cast<double>(
-                          (payload_bytes + config_.frame_overhead_bytes) * 8);
-  return bits * kCyclesPerBit;
 }
 
 bool Channel::direct_reach(const util::Vec2& from_pos, double from_range,
@@ -159,13 +141,54 @@ void Channel::unicast(const Node& sender, Message msg) {
                                     msg.payload.size() +
                                     config_.frame_overhead_bytes)));
   }
-  TxContext ctx;
-  ctx.radiating_position = sender.position();
-  ctx.radiating_range = sender.range();
   NodeRadioStats& radio = radio_[sender.index()];
   ++radio.packets_sent;
   radio.bytes_sent += msg.payload.size() + config_.frame_overhead_bytes;
-  transmit(ctx, msg);
+  ++stats_.transmissions;
+
+  TxContext ctx;
+  ctx.radiating_position = sender.position();
+  ctx.radiating_range = sender.range();
+  const double range2 = ctx.radiating_range * ctx.radiating_range;
+  Node* dst = find(msg.dst);
+  // Wormhole mouths this transmission's scan examined, noted once below.
+  std::uint64_t scanned = 0;
+  if (dst != nullptr) {
+    // Direct path.
+    if (direct_reach(ctx.radiating_position, ctx.radiating_range, *dst)) {
+      deliver(*dst, ctx, msg);
+    } else {
+      ++stats_.out_of_range;
+      if (trace_.on())
+        trace_.emit(trace_.event("pkt.out_of_range")
+                        .f("src", msg.src)
+                        .f("dst", msg.dst));
+    }
+    // Wormhole paths: any tunnel mouth within the radiating range picks
+    // the signal up and re-radiates it at the opposite mouth.
+    for (const auto& w : wormholes_) {
+      struct Hop {
+        const util::Vec2& in;
+        const util::Vec2& out;
+      };
+      const Hop hops[2] = {{w.mouth_a, w.mouth_b}, {w.mouth_b, w.mouth_a}};
+      for (const auto& hop : hops) {
+        ++scanned;
+        if (util::distance_squared(ctx.radiating_position, hop.in) > range2)
+          continue;
+        TxContext tunneled;
+        tunneled.radiating_position = hop.out;
+        tunneled.radiating_range = w.exit_range_ft;
+        tunneled.extra_delay_cycles = w.extra_delay_cycles;
+        tunneled.via_wormhole = true;
+        if (direct_reach(hop.out, w.exit_range_ft, *dst))
+          deliver(*dst, tunneled, msg);
+      }
+    }
+  }
+  stats_.scan_nodes += scanned;
+  if (hot_ != nullptr && hot_->scan_fanout != nullptr)
+    hot_->scan_fanout->observe(static_cast<double>(scanned));
 }
 
 NodeRadioStats Channel::node_radio(NodeId id) const {
@@ -185,102 +208,8 @@ NodeRadioStats Channel::total_radio() const {
   return total;
 }
 
-void Channel::inject(const TxContext& ctx, Message msg) {
-  if (ctx.radiating_range <= 0.0)
-    throw std::invalid_argument("Channel::inject: bad radiating range");
-  transmit(ctx, msg);
-}
-
-void Channel::transmit(const TxContext& ctx, const Message& msg) {
-  SLD_MEM_SCOPE("channel");
-  ++stats_.transmissions;
-
-  // Nodes examined by this transmission's scan: every observer plus the
-  // wormhole mouths tested. Noted exactly once per transmit.
-  std::uint64_t scanned = 0;
-  const auto note_scan = [&]() {
-    stats_.scan_nodes += scanned;
-    if (hot_ != nullptr && hot_->scan_fanout != nullptr)
-      hot_->scan_fanout->observe(static_cast<double>(scanned));
-  };
-
-  // Eavesdroppers / jammers hear everything radiating within range.
-  bool suppressed = false;
-  for (auto* obs : observers_) {
-    const double d2 =
-        util::distance_squared(ctx.radiating_position, obs->observer_position());
-    ++scanned;
-    if (d2 <= ctx.radiating_range * ctx.radiating_range) {
-      suppressed = obs->on_overhear(msg, ctx) || suppressed;
-    }
-  }
-  if (suppressed) {
-    ++stats_.suppressed;
-    note_scan();
-    if (trace_.on())
-      trace_.emit(trace_.event("pkt.suppressed")
-                      .f("src", msg.src)
-                      .f("dst", msg.dst));
-    return;
-  }
-
-  Node* dst = find(msg.dst);
-
-  // Direct path.
-  if (dst != nullptr &&
-      direct_reach(ctx.radiating_position, ctx.radiating_range, *dst)) {
-    deliver(*dst, ctx, msg);
-  } else if (dst != nullptr) {
-    ++stats_.out_of_range;
-    if (trace_.on())
-      trace_.emit(trace_.event("pkt.out_of_range")
-                      .f("src", msg.src)
-                      .f("dst", msg.dst));
-  }
-
-  // Wormhole paths: any tunnel mouth within the radiating range picks the
-  // signal up and re-radiates it at the opposite mouth. A copy that already
-  // crossed a tunnel is not tunnelled again (no cascading).
-  if (ctx.via_wormhole || dst == nullptr) {
-    note_scan();
-    return;
-  }
-  for (const auto& w : wormholes_) {
-    struct Hop {
-      const util::Vec2& in;
-      const util::Vec2& out;
-    };
-    const Hop hops[2] = {{w.mouth_a, w.mouth_b}, {w.mouth_b, w.mouth_a}};
-    for (const auto& hop : hops) {
-      const double d2_in =
-          util::distance_squared(ctx.radiating_position, hop.in);
-      ++scanned;
-      if (d2_in > ctx.radiating_range * ctx.radiating_range) continue;
-      TxContext tunneled;
-      tunneled.radiating_position = hop.out;
-      tunneled.radiating_range = w.exit_range_ft;
-      tunneled.extra_delay_cycles =
-          ctx.extra_delay_cycles + w.extra_delay_cycles;
-      tunneled.via_wormhole = true;
-      tunneled.is_replay = true;
-      if (direct_reach(hop.out, w.exit_range_ft, *dst)) {
-        deliver(*dst, tunneled, msg);
-      }
-    }
-  }
-  note_scan();
-}
-
 void Channel::deliver(Node& dst, const TxContext& ctx, const Message& msg) {
   ++stats_.delivery_attempts;
-  if (rng_.bernoulli(config_.loss_probability)) {
-    ++stats_.losses;
-    check_conservation();
-    if (trace_.on())
-      trace_.emit(
-          trace_.event("pkt.loss").f("src", msg.src).f("dst", msg.dst));
-    return;
-  }
   const double prop_ft =
       util::distance(ctx.radiating_position, dst.position());
   SimTime delay =
@@ -359,16 +288,15 @@ void Channel::deliver(Node& dst, const TxContext& ctx, const Message& msg) {
 }
 
 void Channel::check_conservation() const {
-  SLD_INVARIANT(stats_.deliveries + stats_.losses + stats_.dropped_by_fault +
+  SLD_INVARIANT(stats_.deliveries + stats_.dropped_by_fault +
                         stats_.crashed_rx_drops + stats_.partition_drops ==
                     stats_.delivery_attempts + stats_.duplicates,
                 "packet conservation: deliveries=" << stats_.deliveries
-                    << " losses=" << stats_.losses << " fault_drops="
-                    << stats_.dropped_by_fault << " crashed_rx="
-                    << stats_.crashed_rx_drops << " partition="
-                    << stats_.partition_drops << " attempts="
-                    << stats_.delivery_attempts << " duplicates="
-                    << stats_.duplicates);
+                    << " fault_drops=" << stats_.dropped_by_fault
+                    << " crashed_rx=" << stats_.crashed_rx_drops
+                    << " partition=" << stats_.partition_drops
+                    << " attempts=" << stats_.delivery_attempts
+                    << " duplicates=" << stats_.duplicates);
   SLD_INVARIANT(stats_.crashed_drops ==
                     stats_.crashed_tx_drops + stats_.crashed_rx_drops,
                 "crash accounting: total=" << stats_.crashed_drops

@@ -1,5 +1,6 @@
 // The radio channel: range-limited unicast with transmission + propagation
-// delay, optional loss, wormhole tunnels, and eavesdropping hooks.
+// delay, wormhole tunnels, and the fault plan's loss, duplication,
+// corruption, jitter and crash windows.
 //
 // Wormholes are modelled at the channel level, matching the paper's §4
 // setup ("a wormhole ... which forwards every message received at one side
@@ -25,20 +26,6 @@
 
 namespace sld::sim {
 
-/// Devices (typically attackers) that can hear transmissions near them.
-class RadioObserver {
- public:
-  virtual ~RadioObserver() = default;
-
-  /// Called for every transmission radiating within range of the observer.
-  /// Returning true suppresses delivery to the intended receiver (models
-  /// shield-and-replay / jamming); returning false leaves it untouched.
-  virtual bool on_overhear(const Message& msg, const TxContext& ctx) = 0;
-
-  /// Where the observer's radio hardware sits.
-  virtual util::Vec2 observer_position() const = 0;
-};
-
 /// A wormhole tunnel between two field positions.
 struct WormholeLink {
   util::Vec2 mouth_a;
@@ -51,24 +38,20 @@ struct WormholeLink {
 };
 
 struct ChannelConfig {
-  /// Per-delivery loss probability (paper assumes reliable delivery via
-  /// retransmission, so default 0). Kept separate from `faults` for
-  /// backward compatibility; both contribute independently.
-  double loss_probability = 0.0;
   /// Fixed per-packet framing overhead in bytes (preamble/header/CRC).
   std::size_t frame_overhead_bytes = 16;
   /// Composable fault injection (loss models, duplication, corruption,
-  /// jitter, crash windows). All off by default.
+  /// jitter, crash windows): the channel's only source of loss. All off by
+  /// default, the paper's reliable delivery.
   FaultPlan faults;
 };
 
 /// Counters exposed for tests and experiment reporting. Every delivery
-/// attempt is conserved: it is lost, dropped by a fault, dropped at a
-/// crashed receiver, or delivered — and a duplication fault adds one extra
-/// delivery. So
+/// attempt is conserved: it is dropped by a fault, dropped at a crashed
+/// receiver, dropped at a partition cut, or delivered — and a duplication
+/// fault adds one extra delivery. So
 ///
-///   deliveries + losses + dropped_by_fault + crashed_rx_drops
-///       + partition_drops
+///   deliveries + dropped_by_fault + crashed_rx_drops + partition_drops
 ///     == delivery_attempts + duplicates
 ///
 /// always, which `SLD_INVARIANT` asserts after every attempt in
@@ -80,6 +63,8 @@ struct ChannelStats {
   std::uint64_t delivery_attempts = 0;
   std::uint64_t deliveries = 0;
   std::uint64_t wormhole_deliveries = 0;
+  /// Always 0: the channel has no loss or suppression of its own (a lost
+  /// packet is a fault drop). perfbench/trials.cpp still reads both.
   std::uint64_t losses = 0;
   std::uint64_t suppressed = 0;
   std::uint64_t out_of_range = 0;
@@ -94,8 +79,8 @@ struct ChannelStats {
   std::uint64_t crashed_rx_drops = 0;
   /// Deliveries dropped because they crossed an active partition cut.
   std::uint64_t partition_drops = 0;
-  /// Nodes examined across all transmissions: every observer plus the
-  /// wormhole mouths tested (the scan fan-out numerator).
+  /// Wormhole mouths tested across all transmissions (the scan fan-out
+  /// numerator).
   std::uint64_t scan_nodes = 0;
 };
 
@@ -118,6 +103,7 @@ struct NodeRadioStats {
 
 class Channel {
  public:
+  /// The fault injector draws from a stream forked off `rng`.
   Channel(Scheduler& scheduler, ChannelConfig config, util::Rng rng);
 
   /// Registers a node (non-owning; the Network owns nodes). Its radio
@@ -132,17 +118,11 @@ class Channel {
   void add_wormhole(WormholeLink link);
   const std::vector<WormholeLink>& wormholes() const { return wormholes_; }
 
-  void add_observer(RadioObserver* observer);
-
   /// Sends `msg` from `sender` using the sender's true position/range.
   /// The message is delivered directly if the destination is in range and
   /// additionally through every wormhole whose mouths connect them. Throws
   /// std::logic_error if `sender` is not registered on this channel.
   void unicast(const Node& sender, Message msg);
-
-  /// Injects a transmission with an arbitrary physical context — used by
-  /// attacker devices replaying captured packets.
-  void inject(const TxContext& ctx, Message msg);
 
   /// True if `to` can hear a transmission radiating from `from_pos` with
   /// range `from_range` directly (no wormhole).
@@ -166,9 +146,9 @@ class Channel {
   NodeRadioStats node_radio(NodeId id) const;
 
   /// Installs the event tracer (off by default). Emits one record per
-  /// packet fate: pkt.send / pkt.deliver / pkt.loss / pkt.out_of_range /
-  /// pkt.suppressed / pkt.fault_drop / pkt.duplicate / pkt.corrupt /
-  /// pkt.crash_tx / pkt.crash_rx / pkt.partition_drop.
+  /// packet fate: pkt.send / pkt.deliver / pkt.out_of_range /
+  /// pkt.fault_drop / pkt.duplicate / pkt.corrupt / pkt.crash_tx /
+  /// pkt.crash_rx / pkt.partition_drop.
   void set_tracer(obs::Tracer tracer) { trace_ = std::move(tracer); }
 
   /// The installed tracer (off by default). Nodes and the Network borrow
@@ -182,16 +162,11 @@ class Channel {
   /// Air time of a `payload_bytes`-byte packet, in nanoseconds.
   SimTime packet_airtime_ns(std::size_t payload_bytes) const;
 
-  /// Air time of a `payload_bytes`-byte packet, in CPU cycles (the unit
-  /// replay-delay reasoning uses).
-  double packet_airtime_cycles(std::size_t payload_bytes) const;
-
   /// Optional hot-path micro-counter sink (scan fan-out, packet lifetime;
   /// see sim/hotstats.hpp). Not owned; nullptr turns recording back off.
   void set_hot_stats(HotStats* hot) { hot_ = hot; }
 
  private:
-  void transmit(const TxContext& ctx, const Message& msg);
   void deliver(Node& dst, const TxContext& ctx, const Message& msg);
   void schedule_delivery(Node& dst, const TxContext& ctx, const Message& msg,
                          SimTime delay);
@@ -203,7 +178,6 @@ class Channel {
 
   Scheduler& scheduler_;
   ChannelConfig config_;
-  util::Rng rng_;
   FaultInjector faults_;
   /// Registered nodes by ID. Deployments number beacons from
   /// kFirstBeaconId and sensors from kNonBeaconIdBase, consecutively, so a
@@ -215,7 +189,6 @@ class Channel {
   std::vector<Node*> id_runs_[2];
   std::unordered_map<NodeId, Node*> sparse_ids_;
   std::vector<WormholeLink> wormholes_;
-  std::vector<RadioObserver*> observers_;
   ChannelStats stats_;
   /// Radio activity by registration index.
   std::vector<NodeRadioStats> radio_;

@@ -3,9 +3,8 @@
 //
 // A `HotStats` is a bundle of registry-owned histograms the scheduler's
 // event queue and the channel observe as they run: queue depth per push,
-// binary-heap sift distances, event wait, nodes scanned per transmission
-// (every eavesdropper/observer plus the wormhole mouths tested), and
-// packet lifetime (schedule -> delivery sim-time). The totals behind them
+// binary-heap sift distances, event wait, wormhole mouths scanned per
+// transmission, and packet lifetime (schedule -> delivery sim-time). The totals behind them
 // live in the event queue and in ChannelStats. Every field is optional — a
 // default-constructed HotStats (or a null pointer where one is wired)
 // records nothing, so the hot paths pay one branch per site when the
@@ -28,8 +27,7 @@ struct HotStats {
   /// Sim-time an event waited from schedule to execution
   /// (hot.event_wait_ns).
   obs::Histogram* event_wait_ns = nullptr;
-  /// Nodes examined per transmission scan (hot.scan_fanout): every
-  /// registered observer plus the wormhole tunnels tested.
+  /// Wormhole mouths examined per transmission scan (hot.scan_fanout).
   obs::Histogram* scan_fanout = nullptr;
   /// Sim-time from packet scheduling (the in-flight copy's allocation) to
   /// its delivery callback (the copy's release) (hot.packet_lifetime_ns).

@@ -342,9 +342,8 @@ ScheduleResult run_schedule(std::uint64_t seed, const CampaignOptions& opts,
 
     // Oracle 3: packet conservation across every fault outcome.
     const auto& ch = s.channel;
-    const std::uint64_t accounted = ch.deliveries + ch.losses +
-                                    ch.dropped_by_fault + ch.crashed_rx_drops +
-                                    ch.partition_drops;
+    const std::uint64_t accounted = ch.deliveries + ch.dropped_by_fault +
+                                    ch.crashed_rx_drops + ch.partition_drops;
     if (accounted != ch.delivery_attempts + ch.duplicates) {
       std::ostringstream os;
       os << "channel conservation: " << accounted

@@ -76,7 +76,6 @@ TEST_F(ChannelTest, WormholeTunnelsToFarNode) {
   net.run();
   ASSERT_EQ(b.deliveries.size(), 1u);
   EXPECT_TRUE(b.deliveries[0].ctx.via_wormhole);
-  EXPECT_TRUE(b.deliveries[0].ctx.is_replay);
   // RSSI-relevant: the energy radiates from the exit mouth.
   EXPECT_EQ(b.deliveries[0].ctx.radiating_position, (util::Vec2{800, 700}));
   EXPECT_EQ(net.channel().stats().wormhole_deliveries, 1u);
@@ -132,7 +131,7 @@ TEST_F(ChannelTest, NearbyNodeGetsAllCopies) {
 
 TEST_F(ChannelTest, LossyChannelDropsRoughlyAtRate) {
   ChannelConfig cfg;
-  cfg.loss_probability = 0.5;
+  cfg.faults.loss_probability = 0.5;
   Network lossy{cfg, 7};
   auto& a = lossy.emplace_node<RecorderNode>(1, util::Vec2{0, 0}, 150.0);
   auto& b = lossy.emplace_node<RecorderNode>(2, util::Vec2{10, 0}, 150.0);
@@ -140,54 +139,8 @@ TEST_F(ChannelTest, LossyChannelDropsRoughlyAtRate) {
   lossy.run();
   EXPECT_GT(b.deliveries.size(), 400u);
   EXPECT_LT(b.deliveries.size(), 600u);
-}
-
-class Jammer final : public RadioObserver {
- public:
-  explicit Jammer(util::Vec2 pos, bool suppress)
-      : pos_(pos), suppress_(suppress) {}
-  bool on_overhear(const Message&, const TxContext&) override {
-    ++heard;
-    return suppress_;
-  }
-  util::Vec2 observer_position() const override { return pos_; }
-  int heard = 0;
-
- private:
-  util::Vec2 pos_;
-  bool suppress_;
-};
-
-TEST_F(ChannelTest, EavesdropperHearsWithoutSuppressing) {
-  auto& a = net.emplace_node<RecorderNode>(1, util::Vec2{0, 0}, 150.0);
-  auto& b = net.emplace_node<RecorderNode>(2, util::Vec2{100, 0}, 150.0);
-  Jammer ears({50, 0}, /*suppress=*/false);
-  net.channel().add_observer(&ears);
-  net.channel().unicast(a, make_msg(1, 2));
-  net.run();
-  EXPECT_EQ(ears.heard, 1);
-  EXPECT_EQ(b.deliveries.size(), 1u);
-}
-
-TEST_F(ChannelTest, JammerSuppressesDelivery) {
-  auto& a = net.emplace_node<RecorderNode>(1, util::Vec2{0, 0}, 150.0);
-  auto& b = net.emplace_node<RecorderNode>(2, util::Vec2{100, 0}, 150.0);
-  Jammer jam({50, 0}, /*suppress=*/true);
-  net.channel().add_observer(&jam);
-  net.channel().unicast(a, make_msg(1, 2));
-  net.run();
-  EXPECT_TRUE(b.deliveries.empty());
-  EXPECT_EQ(net.channel().stats().suppressed, 1u);
-}
-
-TEST_F(ChannelTest, ObserverOutOfRangeHearsNothing) {
-  auto& a = net.emplace_node<RecorderNode>(1, util::Vec2{0, 0}, 150.0);
-  net.emplace_node<RecorderNode>(2, util::Vec2{100, 0}, 150.0);
-  Jammer far({1000, 1000}, /*suppress=*/true);
-  net.channel().add_observer(&far);
-  net.channel().unicast(a, make_msg(1, 2));
-  net.run();
-  EXPECT_EQ(far.heard, 0);
+  EXPECT_EQ(lossy.channel().stats().dropped_by_fault,
+            1000u - b.deliveries.size());
 }
 
 TEST_F(ChannelTest, AliasRoutesToOwner) {
@@ -281,8 +234,6 @@ TEST_F(ChannelTest, ConnectedCombinesDirectAndWormhole) {
 TEST_F(ChannelTest, PacketAirtimeScalesWithSize) {
   EXPECT_GT(net.channel().packet_airtime_ns(100),
             net.channel().packet_airtime_ns(10));
-  EXPECT_DOUBLE_EQ(net.channel().packet_airtime_cycles(0),
-                   16.0 * 8.0 * kCyclesPerBit);
 }
 
 TEST_F(ChannelTest, PerNodeRadioAccounting) {
@@ -305,14 +256,6 @@ TEST_F(ChannelTest, PerNodeRadioAccounting) {
   EXPECT_GT(ra.energy_uj(), rb.energy_uj());  // tx costs more than rx
   // Unknown node: zeros.
   EXPECT_EQ(net.channel().node_radio(99).packets_sent, 0u);
-}
-
-TEST_F(ChannelTest, InjectRequiresValidRange) {
-  TxContext ctx;
-  ctx.radiating_position = {0, 0};
-  ctx.radiating_range = 0.0;
-  EXPECT_THROW(net.channel().inject(ctx, make_msg(1, 2)),
-               std::invalid_argument);
 }
 
 TEST_F(ChannelTest, DuplicateNodeIdRejected) {

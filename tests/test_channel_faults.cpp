@@ -89,7 +89,6 @@ TEST(FaultPlan, IidLossDropsRoughlyAtRate) {
   EXPECT_EQ(s.dropped_by_fault + b.deliveries.size(), 2000u);
   EXPECT_GT(s.dropped_by_fault, 480u);  // ~600 expected
   EXPECT_LT(s.dropped_by_fault, 720u);
-  EXPECT_EQ(s.losses, 0u);  // the legacy iid path stayed quiet
 }
 
 TEST(FaultPlan, GilbertElliottAveragesToTargetAndBursts) {
@@ -223,7 +222,7 @@ TEST(FaultPlan, CorruptedAndDuplicatedCopiesKeepConservationAndMacVerdicts) {
   EXPECT_GT(s.corrupted, 0u);
   EXPECT_GT(s.duplicates, 0u);
   EXPECT_GT(s.dropped_by_fault, 0u);
-  EXPECT_EQ(s.deliveries + s.losses + s.dropped_by_fault + s.crashed_rx_drops +
+  EXPECT_EQ(s.deliveries + s.dropped_by_fault + s.crashed_rx_drops +
                 s.partition_drops,
             s.delivery_attempts + s.duplicates);
   // Every corrupted copy, and only those, fails authentication; a
@@ -282,8 +281,8 @@ TEST(FaultPlan, PartitionBlocksCrossCutTrafficBothWaysThenHeals) {
   EXPECT_EQ(s.partition_drops, 2u);
   EXPECT_EQ(s.dropped_by_fault, 0u);
   // Conservation across the new outcome class.
-  EXPECT_EQ(s.deliveries + s.losses + s.dropped_by_fault +
-                s.crashed_rx_drops + s.partition_drops,
+  EXPECT_EQ(s.deliveries + s.dropped_by_fault + s.crashed_rx_drops +
+                s.partition_drops,
             s.delivery_attempts + s.duplicates);
 }
 

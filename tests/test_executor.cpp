@@ -14,9 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <regex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -49,11 +49,20 @@ SystemConfig small_config(std::uint64_t seed) {
 
 /// Masks the wall-clock gauges — the one carve-out in metrics_json AND in
 /// `ts.window` records (the sampler snapshots every gauge, including the
-/// phase timers, which measure the host rather than the simulation).
-std::string normalize_metrics(const std::string& json) {
-  static const std::regex phase_ms(
-      R"("phase\.[A-Za-z0-9_.]+_ms":[-+0-9.eE]+)");
-  return std::regex_replace(json, phase_ms, "\"phase_ms\":0");
+/// phase timers, which measure the host rather than the simulation). Each
+/// `"phase.<name>_ms":<value>` becomes `"phase_ms":0`.
+std::string normalize_metrics(std::string json) {
+  constexpr std::string_view kKey = "\"phase.";
+  for (std::size_t at = json.find(kKey); at != std::string::npos;
+       at = json.find(kKey, at + 1)) {
+    const std::size_t key_end = json.find('"', at + 1);
+    const std::size_t value_end = json.find_first_of(",}", key_end);
+    if (value_end == std::string::npos ||
+        json.compare(key_end - 3, 5, "_ms\":") != 0)
+      continue;
+    json.replace(at, value_end - at, "\"phase_ms\":0");
+  }
+  return json;
 }
 
 /// Applies the wall-clock mask line-by-line to a buffered JSONL stream.

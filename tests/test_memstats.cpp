@@ -166,7 +166,7 @@ TEST(Memstats, MemstatsOnTrialIsBitForBitIdenticalToOff) {
   EXPECT_EQ(on.sched_events, off.sched_events);
   EXPECT_EQ(on.channel.transmissions, off.channel.transmissions);
   EXPECT_EQ(on.channel.deliveries, off.channel.deliveries);
-  EXPECT_EQ(on.channel.losses, off.channel.losses);
+  EXPECT_EQ(on.channel.dropped_by_fault, off.channel.dropped_by_fault);
   EXPECT_EQ(on.malicious_revoked, off.malicious_revoked);
   EXPECT_EQ(on.benign_revoked, off.benign_revoked);
   EXPECT_EQ(on.sensors_localized, off.sensors_localized);

@@ -102,7 +102,6 @@ TEST(TxContext, DefaultsAreHonest) {
   TxContext ctx;
   EXPECT_EQ(ctx.extra_delay_cycles, 0.0);
   EXPECT_FALSE(ctx.via_wormhole);
-  EXPECT_FALSE(ctx.is_replay);
 }
 
 }  // namespace

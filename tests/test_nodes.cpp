@@ -398,15 +398,6 @@ TEST_F(NodeProtocolTest, ReplyFromAnotherBeaconAnswersNothing) {
   EXPECT_TRUE(ctx_.metrics.affected_by_malicious.empty());
 }
 
-TEST_F(NodeProtocolTest, BeaconRejectsMoreProbeRoundsThanItHolds) {
-  // A probe keeps its samples inline; a node built from an unchecked
-  // config must not write past them.
-  config_.rtt_probe_repeats = kMaxProbeRepeats + 1;
-  EXPECT_THROW(BeaconNode(1, util::Vec2{0, 0}, 150.0, ctx_,
-                          std::vector<sim::NodeId>{}),
-               std::invalid_argument);
-}
-
 TEST_F(NodeProtocolTest, DetectingBeaconAlertsOnNonFiniteClaim) {
   // The insider's reply passes MAC verification, so only the consistency
   // check stands between its NaN claim and a "consistent" verdict.

@@ -99,7 +99,7 @@ TEST(SimProperty, PacketConservationUnderArbitraryFaults) {
   };
 
   EXPECT_TRUE(prop::forall(
-      "deliveries + losses + fault_drops + crashed_rx == attempts + dups",
+      "deliveries + fault_drops + crashed_rx == attempts + dups",
       gen, [](const Case& c, util::Rng& rng) {
         sim::ChannelConfig config;
         config.faults = c.plan;
@@ -123,8 +123,7 @@ TEST(SimProperty, PacketConservationUnderArbitraryFaults) {
           net.run();
         }
         const auto& s = net.channel().stats();
-        return s.deliveries + s.losses + s.dropped_by_fault +
-                   s.crashed_rx_drops ==
+        return s.deliveries + s.dropped_by_fault + s.crashed_rx_drops ==
                s.delivery_attempts + s.duplicates &&
                s.crashed_drops == s.crashed_tx_drops + s.crashed_rx_drops;
       }));

@@ -48,7 +48,7 @@ std::string summary_digest(const core::TrialSummary& s) {
      << '|' << s.base_station.alerts_accepted << '|'
      << s.base_station.revocations << '|' << s.channel.transmissions << '|'
      << s.channel.delivery_attempts << '|' << s.channel.deliveries << '|'
-     << s.channel.losses << '|' << s.channel.dropped_by_fault << '|'
+     << s.channel.dropped_by_fault << '|'
      << s.channel.duplicates << '|' << s.channel.corrupted << '|'
      << s.channel.crashed_drops;
   return os.str();

@@ -144,13 +144,13 @@ class LossSweep : public ::testing::TestWithParam<double> {};
 TEST_P(LossSweep, SystemSurvivesLossyRadios) {
   SystemConfig c = sweep_config(41 + static_cast<std::uint64_t>(
                                          GetParam() * 100));
-  c.channel_loss_probability = GetParam();
+  c.faults.loss_probability = GetParam();
   c.strategy = attack::MaliciousStrategyConfig::with_effectiveness(0.5);
   SecureLocalizationSystem system(c);
   const auto s = system.run();
   check_trial_invariants(s);
   if (GetParam() > 0.0) {
-    EXPECT_GT(s.channel.losses, 0u);
+    EXPECT_GT(s.channel.dropped_by_fault, 0u);
   }
   // Even at 40% loss some sensors still gather three references.
   if (GetParam() <= 0.4) {

@@ -508,7 +508,7 @@ TEST(Timeseries, SampledTrialIsBitForBitIdenticalToUnsampled) {
   EXPECT_EQ(sampled.sched_events, plain.sched_events);
   EXPECT_EQ(sampled.channel.transmissions, plain.channel.transmissions);
   EXPECT_EQ(sampled.channel.deliveries, plain.channel.deliveries);
-  EXPECT_EQ(sampled.channel.losses, plain.channel.losses);
+  EXPECT_EQ(sampled.channel.dropped_by_fault, plain.channel.dropped_by_fault);
   EXPECT_EQ(sampled.malicious_revoked, plain.malicious_revoked);
   EXPECT_EQ(sampled.benign_revoked, plain.benign_revoked);
   EXPECT_EQ(sampled.sensors_localized, plain.sensors_localized);

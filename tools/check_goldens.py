@@ -14,6 +14,8 @@ one binary can be pinned in several modes (e.g. `ext_alert_storm` and
 instead of stdout: the bench runs with `--trace <tmpfile>` and the entry
 hashes the JSONL file it writes, so every per-event record of the message
 path (sends, replies, timeouts, retries, localization tiers) is pinned too.
+Each such trace must also pass `trace_report.py --validate`, so an event the
+schema lacks fails the check even when its hash is pinned.
 
 Usage:
   check_goldens.py --bench-dir build/bench --goldens tests/goldens/bench_goldens.txt
@@ -21,11 +23,15 @@ Usage:
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
 import tempfile
+
+import trace_report
 
 BENCH_ARGS = ["--fast", "--trials", "1", "--seed", "1"]
 
@@ -80,6 +86,9 @@ def run_bench(bench_dir, name):
             return None, f"{name} timed out"
         if trace_path is None:
             return hashlib.sha256(out.stdout).hexdigest(), None
+        with contextlib.redirect_stdout(io.StringIO()):
+            if trace_report.validate(trace_path) != 0:
+                return None, f"{name} trace fails schema validation"
         digest = hashlib.sha256()
         with open(trace_path, "rb") as f:
             for chunk in iter(lambda: f.read(1 << 20), b""):

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Mutation smoke test: applies 25 curated single-line mutants to the
+# Mutation smoke test: applies 26 curated single-line mutants to the
 # detection/revocation/sim/crypto/core/obs/ranging sources and verifies the
 # test suite kills every one (at least one registered test fails per
 # mutant). A mutant that survives means a guard has no test teeth — the
-# script fails loudly. It edits the sources of the checkout it runs from
-# (restoring each file afterwards), so run it from a scratch copy.
+# script fails loudly. So does a mutant that does not compile: it kills
+# nothing, however its tests fare. It edits the sources of the checkout it
+# runs from (restoring each file afterwards), so run it from a scratch copy.
 #
 # Uses a dedicated build tree (build-mutation, RelWithDebInfo with runtime
 # invariants ON) and rebuilds only the test targets each mutant needs, so a
@@ -170,6 +171,13 @@ add_mutant "requester-accepts-any-responder" \
   "" \
   "test_nodes"
 
+add_mutant "committed-alert-skips-revocation-time" \
+  "src/core/nodes.cpp" \
+  "    metrics.revocation_times.emplace_back(target, at);
+" \
+  "" \
+  "test_system_integration"
+
 add_mutant "validated-skips-arq" \
   "src/core/secure_localization.cpp" \
   "  if (config.arq.enabled) sim::check_arq(config.arq, config.arq.max_retries);
@@ -244,6 +252,7 @@ fi
 echo "ok: clean tree passes"
 
 survived=()
+unbuilt=()
 for i in "${!MUTANT_NAMES[@]}"; do
   name="${MUTANT_NAMES[$i]}"
   file="${MUTANT_FILES[$i]}"
@@ -258,7 +267,10 @@ for i in "${!MUTANT_NAMES[@]}"; do
   build_and_run ${MUTANT_TESTS[$i]}
   rc=$?
   restore "$file"
-  if [[ $rc -eq 0 ]]; then
+  if [[ $rc -eq 2 ]]; then
+    echo "UNBUILT: $name — the mutated tree does not compile"
+    unbuilt+=("$name")
+  elif [[ $rc -eq 0 ]]; then
     echo "SURVIVED: $name — no test failed under this mutant"
     survived+=("$name")
   else
@@ -273,6 +285,10 @@ build_and_run $all_tests || {
   exit 1
 }
 
+if [[ ${#unbuilt[@]} -gt 0 ]]; then
+  echo "FAIL: ${#unbuilt[@]} mutant(s) do not compile: ${unbuilt[*]}" >&2
+  exit 1
+fi
 if [[ ${#survived[@]} -gt 0 ]]; then
   echo "FAIL: ${#survived[@]} mutant(s) survived: ${survived[*]}" >&2
   exit 1

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build Release (warnings as errors) and Sanitize (ASan+UBSan)
-# configurations, run the full gtest suite on each, then run one traced
-# smoke trial and schema-validate the emitted JSONL trace. Exits nonzero on
-# the first failure.
+# Tier-1 gate: build Release and Sanitize (ASan+UBSan) configurations, both
+# with warnings as errors, run the full gtest suite on each, then run one
+# traced smoke trial and schema-validate the emitted JSONL trace. Exits
+# nonzero on the first failure.
 #
 # Usage: tools/run_tier1.sh [jobs]
 #
@@ -51,7 +51,7 @@ run_config() {  # name build_type [extra cmake args...]
 }
 
 run_config release Release -DSLD_WARNINGS_AS_ERRORS=ON
-run_config sanitize Sanitize
+run_config sanitize Sanitize -DSLD_WARNINGS_AS_ERRORS=ON
 
 if [[ "${SLD_CHAOS:-0}" == "1" ]]; then
   echo "=== chaos campaign (SLD_CHAOS=1) ==="

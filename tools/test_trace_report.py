@@ -88,8 +88,8 @@ class ValidateCorruptTraces(unittest.TestCase):
         code, _, err = self._validate_lines([
             '{"t": 0, "e": "trial.start", "seed": 1, "nodes": 1,'
             ' "beacons": 1, "malicious": 0, "sensors": 0}',
-            '{"t": 500, "e": "pkt.loss", "src": 1, "dst": 2}',
-            '{"t": 100, "e": "pkt.loss", "src": 1, "dst": 2}',
+            '{"t": 500, "e": "pkt.fault_drop", "src": 1, "dst": 2}',
+            '{"t": 100, "e": "pkt.fault_drop", "src": 1, "dst": 2}',
         ])
         self.assertEqual(code, 1)
         self.assertIn("time went backwards", err)
@@ -98,15 +98,15 @@ class ValidateCorruptTraces(unittest.TestCase):
         code, _, err = self._validate_lines([
             '{"t": 0, "e": "trial.start", "seed": 1, "nodes": 1,'
             ' "beacons": 1, "malicious": 0, "sensors": 0}',
-            '{"t": 900, "e": "pkt.loss", "src": 1, "dst": 2}',
+            '{"t": 900, "e": "pkt.fault_drop", "src": 1, "dst": 2}',
             '{"t": 0, "e": "trial.start", "seed": 2, "nodes": 1,'
             ' "beacons": 1, "malicious": 0, "sensors": 0}',
-            '{"t": 10, "e": "pkt.loss", "src": 1, "dst": 2}',
+            '{"t": 10, "e": "pkt.fault_drop", "src": 1, "dst": 2}',
         ])
         self.assertEqual(code, 0, err)
 
     def test_unparsable_json_fails(self):
-        code, _, err = self._validate_lines(['{"t": 0, "e": "pkt.loss",'])
+        code, _, err = self._validate_lines(['{"t": 0, "e": "pkt.fault_drop",'])
         self.assertEqual(code, 1)
         self.assertTrue(err.strip(), "expected a parse error report")
 
@@ -264,10 +264,10 @@ class TelemetryEvents(unittest.TestCase):
         code, _, err = validate_quietly(self._write([
             '{"t": 0, "e": "trial.start", "seed": 1, "nodes": 1,'
             ' "beacons": 1, "malicious": 0, "sensors": 0}',
-            '{"t": 900, "e": "pkt.loss", "src": 1, "dst": 2}',
+            '{"t": 900, "e": "pkt.fault_drop", "src": 1, "dst": 2}',
             '{"t": 0, "e": "ts.meta", "schema": "timeseries/v1",'
             ' "cadence_ns": 1000, "seed": 2}',
-            '{"t": 10, "e": "pkt.loss", "src": 1, "dst": 2}',
+            '{"t": 10, "e": "pkt.fault_drop", "src": 1, "dst": 2}',
         ]))
         self.assertEqual(code, 0, err)
 

@@ -26,9 +26,7 @@ SCHEMA = {
     # Channel packet fates.
     "pkt.send": ["node", "src", "dst", "type", "bytes"],
     "pkt.deliver": ["src", "dst", "type", "wormhole", "delay_ns"],
-    "pkt.loss": ["src", "dst"],
     "pkt.out_of_range": ["src", "dst"],
-    "pkt.suppressed": ["src", "dst"],
     "pkt.fault_drop": ["src", "dst"],
     "pkt.duplicate": ["src", "dst"],
     "pkt.corrupt": ["src", "dst"],
@@ -81,7 +79,6 @@ SCHEMA = {
     "bs.exonerate": ["target", "evidence"],
     "bs.escalate": ["target", "evidence", "usable"],
     "coverage.usable_beacons": ["cx", "cy", "usable"],
-    "dissem.miss": ["sensor", "target"],
     # Trial lifecycle.
     "trial.start": ["seed", "nodes", "beacons", "malicious", "sensors"],
     "trial.end": ["seed", "malicious_revoked", "benign_revoked",
@@ -93,6 +90,7 @@ SCHEMA = {
     "partition.heal": ["duration_ns"],
     # Sensor outcomes.
     "sensor.drop_revoked": ["node", "target"],
+    "sensor.drop_quarantined": ["node", "target"],
     "sensor.localized": ["node", "err_ft", "refs"],
     "sensor.unlocalized": ["node", "refs"],
     # Streaming telemetry (timeseries/v1) and SLO transitions, when the
