@@ -108,7 +108,7 @@ struct BenchArgs {
   /// values (tests/test_executor.cpp) — only wall time changes.
   std::size_t jobs = 1;
   /// Memory & hot-path micro-observability ("--memstats"): per-scope
-  /// allocation counts, queue-depth / sift / scan-fanout statistics.
+  /// allocation counts, queue-depth / bucket-move / scan-fanout statistics.
   /// Summary table on stderr; a "memstats" block in --json. Off by
   /// default — stdout (and the golden hash) is byte-identical either way.
   bool memstats = false;

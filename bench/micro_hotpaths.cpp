@@ -1,5 +1,5 @@
 // Hot-path microbenchmarks on the standard bench protocol: the MAC
-// primitive, multilateration solve, explicit-heap event-queue churn, RTT
+// primitive, multilateration solve, radix event-queue churn, RTT
 // sampling, GPSR routing, TESLA chain setup, and a batch of full
 // small-scale trials through run_experiment.
 //
@@ -86,10 +86,10 @@ int main(int argc, char** argv) {
               .cell(sum);
         }
 
-        // --- event-queue churn (the explicit binary heap) ----------------
-        // Also the micro-scale memstats subject: push allocates (key-heap
-        // growth and slot chunks) under the "scheduler" scope, so the
-        // per-thread delta around the loop is exactly this workload's
+        // --- event-queue churn (the radix queue) -------------------------
+        // Also the micro-scale memstats subject: push and pop allocate
+        // (bucket growth and slot chunks) under the "scheduler" scope, so
+        // the per-thread delta around the loop is exactly this workload's
         // allocation bill.
         {
           sld::obs::MemScopeStats before;
@@ -100,8 +100,7 @@ int main(int argc, char** argv) {
           const std::size_t rounds = 3 * scale;
           const std::size_t events = 1000;
           std::uint64_t sum = 0;
-          std::uint64_t sift_up = 0;
-          std::uint64_t sift_down = 0;
+          std::uint64_t moves = 0;
           for (std::size_t r = 0; r < rounds; ++r) {
             sld::sim::EventQueue q;
             for (std::size_t i = 0; i < events; ++i)
@@ -111,14 +110,13 @@ int main(int argc, char** argv) {
               sum = checksum_fold(
                   sum, static_cast<std::uint64_t>(q.pop().when));
             }
-            sift_up += q.sift_up_steps();
-            sift_down += q.sift_down_steps();
+            moves += q.sift_down_steps();
           }
           table.row().cell("event_churn").cell(rounds * events).cell(sum);
           table.row()
-              .cell("event_churn_sift_steps")
-              .cell(static_cast<std::size_t>(sift_up + sift_down))
-              .cell(checksum_fold(sift_up, sift_down));
+              .cell("event_churn_moves")
+              .cell(static_cast<std::size_t>(moves))
+              .cell(checksum_fold(0, moves));
           it.add_events(rounds * events);
           if (args.memstats) {
             const auto after =
@@ -130,8 +128,7 @@ int main(int argc, char** argv) {
             t.frees = after.frees - before.frees;
             t.freed_bytes = after.freed_bytes - before.freed_bytes;
             t.max_queue_depth = events;
-            t.sift_up_steps = sift_up;
-            t.sift_down_steps = sift_down;
+            t.sift_down_steps = moves;
             it.add_memhot(t);
           }
         }

@@ -155,7 +155,7 @@ struct SystemConfig {
 
   /// Memory & hot-path micro-observability (src/obs/memstats): per-scope
   /// allocation telemetry plus scheduler/channel micro-counters (queue
-  /// depth, heap sift distances, scan fan-out, packet lifetime). Off — the
+  /// depth, event-queue bucket moves, scan fan-out, packet lifetime). Off — the
   /// default — registers no instruments, keeps the global operator-new hook
   /// on its one-cached-branch fast path, and leaves runs bit-for-bit the
   /// seed. On, per-scope counts are identical at any --jobs because only

@@ -369,13 +369,14 @@ void SecureLocalizationSystem::setup_memstats() {
   // the trial's own (plus any pre-trial live bytes — an upper bound).
   obs::Memstats::reset_thread_peaks();
 
-  // Hot-path micro-instruments. Shapes: queue depth and sift distances are
-  // small integers; wait/lifetime are nanoseconds spanning ns..minutes, so
-  // log-scaled.
+  // Hot-path micro-instruments. Shapes: queue depth and the items a pop
+  // moves span 1..~10^6 (most pops move none, one refill can move
+  // thousands; a zero lands in the first bucket, min and max stay exact);
+  // wait/lifetime are nanoseconds spanning ns..minutes. All log-scaled.
   hot_.queue_depth = &reg.histogram("hot.queue_depth", 1.0, 1 << 20, 64,
                                     obs::HistogramScale::kLog);
-  hot_.sift_up = &reg.histogram("hot.sift_up", 0.0, 64.0, 64);
-  hot_.sift_down = &reg.histogram("hot.sift_down", 0.0, 64.0, 64);
+  hot_.sift_down = &reg.histogram("hot.sift_down", 1.0, 1 << 20, 64,
+                                  obs::HistogramScale::kLog);
   hot_.event_wait_ns = &reg.histogram("hot.event_wait_ns", 1.0, 1e12, 64,
                                       obs::HistogramScale::kLog);
   hot_.scan_fanout = &reg.histogram("hot.scan_fanout", 1.0, 4096.0, 64,
@@ -386,7 +387,6 @@ void SecureLocalizationSystem::setup_memstats() {
   // the scan count is the transmission count.
   const sim::Scheduler& sched = network_.scheduler();
   const sim::Channel& ch = network_.channel();
-  reg.counter("hot.sift_up_steps", [&sched] { return sched.sift_up_steps(); });
   reg.counter("hot.sift_down_steps",
               [&sched] { return sched.sift_down_steps(); });
   reg.counter("hot.scans", [&ch] { return ch.stats().transmissions; });
@@ -409,7 +409,6 @@ void SecureLocalizationSystem::fold_memstats() {
   }
   memhot_.max_queue_depth = network_.scheduler().max_pending();
   memhot_.queue_depth_p99 = hot_.queue_depth->p99();
-  memhot_.sift_up_steps = network_.scheduler().sift_up_steps();
   memhot_.sift_down_steps = network_.scheduler().sift_down_steps();
   memhot_.scans = network_.channel().stats().transmissions;
   memhot_.scan_nodes = network_.channel().stats().scan_nodes;

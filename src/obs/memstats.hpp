@@ -81,6 +81,9 @@ struct MemHotTotals {
   std::uint64_t peak_live_bytes = 0;  // summed per-thread peaks (approx)
   std::uint64_t max_queue_depth = 0;
   double queue_depth_p99 = 0.0;
+  // The event queue is a radix queue: a push moves nothing, so this stays
+  // 0 (perfbench still reads it), and sift_down_steps counts the items
+  // pops move between buckets.
   std::uint64_t sift_up_steps = 0;
   std::uint64_t sift_down_steps = 0;
   std::uint64_t scans = 0;       // transmissions that scanned the topology

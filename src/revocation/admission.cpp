@@ -1,9 +1,20 @@
 #include "revocation/admission.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace sld::revocation {
+
+namespace {
+/// NaN-proof: a NaN or infinite rate or burst would open the gate.
+void check_finite_non_negative(double x, const char* field) {
+  if (!(x >= 0 && std::isfinite(x)))
+    throw std::invalid_argument(std::string("Admission: ") + field +
+                                " must be finite and non-negative");
+}
+}  // namespace
 
 const char* breaker_state_name(BreakerState state) {
   switch (state) {
@@ -22,8 +33,8 @@ const char* breaker_state_name(BreakerState state) {
 AdmissionController::AdmissionController(
     const AdmissionConfig& config, const std::vector<StallWindow>& stall_windows)
     : config_(config), pairs_(config.pair_window) {
-  if (config_.reporter_rate_per_s < 0 || config_.reporter_burst < 0)
-    throw std::invalid_argument("Admission: negative rate or burst");
+  check_finite_non_negative(config_.reporter_rate_per_s, "reporter_rate_per_s");
+  check_finite_non_negative(config_.reporter_burst, "reporter_burst");
   if (config_.breaker_trip_ns <= 0 || config_.breaker_cooldown_ns < 0 ||
       config_.shed_reopen_ns < 0)
     throw std::invalid_argument("Admission: breaker times must be positive");

@@ -1,5 +1,6 @@
 #include "sim/channel.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -72,8 +73,25 @@ void Channel::add_alias(NodeId alias, Node* node) {
 }
 
 void Channel::add_wormhole(WormholeLink link) {
-  if (link.exit_range_ft <= 0.0)
-    throw std::invalid_argument("Channel::add_wormhole: bad exit range");
+  // NaN-proof: a NaN mouth or range would silently cut the tunnel, and a
+  // NaN or negative delay would reach the scheduler as a time in the past.
+  const auto finite = [](const util::Vec2& p) {
+    return std::isfinite(p.x) && std::isfinite(p.y);
+  };
+  if (!finite(link.mouth_a))
+    throw std::invalid_argument("Channel::add_wormhole: mouth_a not finite");
+  if (!finite(link.mouth_b))
+    throw std::invalid_argument("Channel::add_wormhole: mouth_b not finite");
+  if (!(link.exit_range_ft > 0.0 && std::isfinite(link.exit_range_ft)))
+    throw std::invalid_argument(
+        "Channel::add_wormhole: exit_range_ft must be finite and positive");
+  // 2^63 ns is the first double past SimTime's range (the cast is
+  // undefined there), so this bound also rejects infinity.
+  if (!(link.extra_delay_cycles >= 0.0 &&
+        link.extra_delay_cycles / kCpuHz * 1e9 < 0x1p63))
+    throw std::invalid_argument(
+        "Channel::add_wormhole: extra_delay_cycles must be non-negative and "
+        "fit SimTime");
   wormholes_.push_back(link);
 }
 

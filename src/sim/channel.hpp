@@ -115,6 +115,9 @@ class Channel {
   /// node, whose radio hardware is the same.
   void add_alias(NodeId alias, Node* node);
 
+  /// Throws std::invalid_argument, naming the field, unless both mouths
+  /// are finite, the exit range is finite and positive and the extra delay
+  /// is non-negative and fits SimTime once converted to nanoseconds.
   void add_wormhole(WormholeLink link);
   const std::vector<WormholeLink>& wormholes() const { return wormholes_; }
 

@@ -1,5 +1,7 @@
 #include "sim/event.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -7,70 +9,71 @@
 
 namespace sld::sim {
 
+void EventQueue::place(const Item& item) {
+  // Times at or after last_ compare like their bit patterns above the
+  // first differing bit, so that bit picks the bucket (0: equal).
+  const auto b = static_cast<std::size_t>(std::bit_width(
+      static_cast<std::uint64_t>(item.when ^ last_)));
+  if (b != 0) {
+    const std::uint64_t bit = std::uint64_t{1} << (b - 1);
+    if ((occupied_ & bit) == 0 || item.when < mins_[b]) mins_[b] = item.when;
+    occupied_ |= bit;
+  }
+  std::vector<Item>& bucket = buckets_[b];
+  if (bucket.size() == bucket.capacity())
+    bucket.reserve(std::max(2 * bucket.capacity(), kFirstCapacity));
+  bucket.push_back(item);
+}
+
 void EventQueue::push(SimTime when, SimTime queued_at, Action action) {
   SLD_MEM_SCOPE("scheduler");
+  if (when < last_)
+    throw std::logic_error("EventQueue::push: time before the last pop");
   const std::uint32_t slot = slots_.acquire();
   slots_[slot] = Slot{std::move(action), queued_at};
-  heap_.push_back(Key{when, next_seq_++, slot});
-  // Sift up: hole-based (move the parent down until the slot is found),
-  // one element move per level crossed.
-  std::size_t i = heap_.size() - 1;
-  const Key ev = heap_[i];
-  std::uint64_t steps = 0;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!later(heap_[parent], ev)) break;
-    heap_[i] = heap_[parent];
-    i = parent;
-    ++steps;
-  }
-  heap_[i] = ev;
-  sift_up_steps_ += steps;
-  if (hot_ != nullptr) {
-    if (hot_->sift_up != nullptr)
-      hot_->sift_up->observe(static_cast<double>(steps));
-    if (hot_->queue_depth != nullptr)
-      hot_->queue_depth->observe(static_cast<double>(heap_.size()));
-  }
+  place(Item{when, slot});
+  ++size_;
+  if (hot_ != nullptr && hot_->queue_depth != nullptr)
+    hot_->queue_depth->observe(static_cast<double>(size_));
 }
 
 SimTime EventQueue::next_time() const {
-  if (heap_.empty()) throw std::logic_error("EventQueue::next_time: empty");
-  return heap_.front().when;
+  if (head_ < buckets_[0].size()) return last_;
+  if (occupied_ == 0) throw std::logic_error("EventQueue::next_time: empty");
+  return mins_[static_cast<std::size_t>(std::countr_zero(occupied_)) + 1];
+}
+
+std::uint64_t EventQueue::refill() {
+  SLD_MEM_SCOPE("scheduler");
+  const auto b = static_cast<std::size_t>(std::countr_zero(occupied_)) + 1;
+  occupied_ &= occupied_ - 1;
+  last_ = mins_[b];
+  // Every item here shares the bits above b - 1 with the new base, so
+  // each lands in a bucket below b, and in this order.
+  std::vector<Item>& from = buckets_[b];
+  for (const Item& item : from) place(item);
+  const std::uint64_t moved = from.size();
+  from.clear();
+  return moved;
 }
 
 Event EventQueue::pop() {
-  if (heap_.empty()) throw std::logic_error("EventQueue::pop: empty");
-  const Key top = heap_.front();
-  std::uint64_t steps = 0;
-  if (heap_.size() > 1) {
-    // Sift the last element down from the root.
-    const Key ev = heap_.back();
-    heap_.pop_back();
-    std::size_t i = 0;
-    const std::size_t n = heap_.size();
-    for (;;) {
-      const std::size_t left = 2 * i + 1;
-      if (left >= n) break;
-      const std::size_t right = left + 1;
-      std::size_t smallest = left;
-      if (right < n && later(heap_[left], heap_[right])) smallest = right;
-      if (!later(ev, heap_[smallest])) break;
-      heap_[i] = heap_[smallest];
-      i = smallest;
-      ++steps;
-    }
-    heap_[i] = ev;
-  } else {
-    heap_.pop_back();
+  if (size_ == 0) throw std::logic_error("EventQueue::pop: empty");
+  std::vector<Item>& ready = buckets_[0];
+  const std::uint64_t moved = head_ == ready.size() ? refill() : 0;
+  const Item item = ready[head_++];
+  if (head_ == ready.size()) {
+    ready.clear();
+    head_ = 0;
   }
-  Slot& slot = slots_[top.slot];
-  Event out{top.when, top.seq, slot.queued_at, std::move(slot.action)};
-  slots_.release(top.slot);
-  sift_down_steps_ += steps;
+  --size_;
+  Slot& slot = slots_[item.slot];
+  Event out{item.when, slot.queued_at, std::move(slot.action)};
+  slots_.release(item.slot);
+  moves_ += moved;
   if (hot_ != nullptr) {
     if (hot_->sift_down != nullptr)
-      hot_->sift_down->observe(static_cast<double>(steps));
+      hot_->sift_down->observe(static_cast<double>(moved));
     if (hot_->event_wait_ns != nullptr)
       hot_->event_wait_ns->observe(
           static_cast<double>(out.when - out.queued_at));
@@ -79,11 +82,13 @@ Event EventQueue::pop() {
 }
 
 void EventQueue::clear() {
-  heap_.clear();
+  for (std::vector<Item>& bucket : buckets_) bucket.clear();
+  occupied_ = 0;
+  head_ = 0;
+  last_ = 0;
+  size_ = 0;
   slots_.clear();
-  next_seq_ = 0;
-  sift_up_steps_ = 0;
-  sift_down_steps_ = 0;
+  moves_ = 0;
 }
 
 }  // namespace sld::sim

@@ -3,9 +3,10 @@
 //
 // A `HotStats` is a bundle of registry-owned histograms the scheduler's
 // event queue and the channel observe as they run: queue depth per push,
-// binary-heap sift distances, event wait, wormhole mouths scanned per
-// transmission, and packet lifetime (schedule -> delivery sim-time). The totals behind them
-// live in the event queue and in ChannelStats. Every field is optional — a
+// items each pop moves between the queue's buckets, event wait, wormhole
+// mouths scanned per transmission, and packet lifetime (schedule ->
+// delivery sim-time). The totals behind them live in the event queue and
+// in ChannelStats. Every field is optional — a
 // default-constructed HotStats (or a null pointer where one is wired)
 // records nothing, so the hot paths pay one branch per site when the
 // `--memstats` instruments are off and runs stay bit-for-bit identical to
@@ -21,8 +22,8 @@ namespace sld::sim {
 struct HotStats {
   /// Queue depth observed after each push (hot.queue_depth).
   obs::Histogram* queue_depth = nullptr;
-  /// Sift distance of each push / pop (hot.sift_up / hot.sift_down).
-  obs::Histogram* sift_up = nullptr;
+  /// Items each pop moves between the event queue's buckets
+  /// (hot.sift_down; a push moves none).
   obs::Histogram* sift_down = nullptr;
   /// Sim-time an event waited from schedule to execution
   /// (hot.event_wait_ns).

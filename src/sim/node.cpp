@@ -1,5 +1,6 @@
 #include "sim/node.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "check/invariant.hpp"
@@ -9,8 +10,8 @@ namespace sld::sim {
 
 Node::Node(NodeId id, util::Vec2 position, double range_ft)
     : id_(id), position_(position), range_(range_ft) {
-  if (range_ft <= 0.0)
-    throw std::invalid_argument("Node: range must be positive");
+  if (!(range_ft > 0.0 && std::isfinite(range_ft)))
+    throw std::invalid_argument("Node: range_ft must be finite and positive");
 }
 
 void Node::attach(Channel* channel, Scheduler* scheduler, std::size_t index) {

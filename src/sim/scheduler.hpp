@@ -52,13 +52,12 @@ class Scheduler {
   /// High-water mark of the pending-event queue depth.
   std::size_t max_pending() const { return max_pending_; }
 
-  /// Optional hot-path micro-counter sink (queue depth, sift distances,
-  /// event wait), forwarded to the event queue. Not owned; nullptr turns
-  /// recording back off.
+  /// Optional hot-path micro-counter sink (queue depth, bucket moves per
+  /// pop, event wait), forwarded to the event queue. Not owned; nullptr
+  /// turns recording back off.
   void set_hot_stats(HotStats* hot) { queue_.set_hot_stats(hot); }
 
-  /// Total heap sift steps since construction / reset().
-  std::uint64_t sift_up_steps() const { return queue_.sift_up_steps(); }
+  /// Event-queue items moved between buckets since construction / reset().
   std::uint64_t sift_down_steps() const { return queue_.sift_down_steps(); }
 
   /// Drops all pending events and resets time and counters to zero.

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "prop/prop.hpp"
@@ -116,15 +118,30 @@ TEST(Admission, ShedHoldsBreakerOpenForReopenWindow) {
   EXPECT_EQ(ctl.state(11 * sim::kSecond), BreakerState::kClosed);
 }
 
+/// The constructor rejects `cfg`, naming `field`.
+void expect_rejected(const AdmissionConfig& cfg, const std::string& field) {
+  try {
+    make(cfg);
+    ADD_FAILURE() << "accepted a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Admission, RejectsNonsenseConfig) {
   AdmissionConfig bad = admission();
-  bad.reporter_rate_per_s = -1.0;
-  EXPECT_THROW(make(bad), std::invalid_argument);
-  bad = admission();
   bad.breaker_trip_ns = 0;
   EXPECT_THROW(make(bad), std::invalid_argument);
   EXPECT_THROW(make(admission(), {{2 * sim::kSecond, 1 * sim::kSecond}}),
                std::invalid_argument);
+  // A NaN or infinite rate or burst would switch the rate gate off.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double x : {-1.0, kNan, kInf}) {
+    expect_rejected(admission(x, 8.0), "reporter_rate_per_s");
+    expect_rejected(admission(5.0, x), "reporter_burst");
+  }
 }
 
 // ---------------------------------------------------------------------------

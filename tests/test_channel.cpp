@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/deployment.hpp"
@@ -262,6 +267,53 @@ TEST_F(ChannelTest, DuplicateNodeIdRejected) {
   net.emplace_node<RecorderNode>(1, util::Vec2{0, 0}, 150.0);
   EXPECT_THROW(net.emplace_node<RecorderNode>(1, util::Vec2{1, 1}, 150.0),
                std::invalid_argument);
+}
+
+TEST(Node, RangeMustBeFiniteAndPositive) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 0.0,
+                           -1.0})
+    EXPECT_THROW(RecorderNode(1, util::Vec2{0, 0}, bad), std::invalid_argument)
+        << bad;
+}
+
+TEST_F(ChannelTest, WormholeWithNonFiniteOrOutOfRangeFieldsRejected) {
+  // A NaN exit range used to build a tunnel that delivered nothing, and a
+  // NaN or negative delay reached the scheduler as a time in the past.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<std::string, std::function<void(WormholeLink&)>>>
+      breaks = {
+          {"mouth_a", [](WormholeLink& w) { w.mouth_a.x = kNaN; }},
+          {"mouth_a", [](WormholeLink& w) { w.mouth_a.y = kInf; }},
+          {"mouth_b", [](WormholeLink& w) { w.mouth_b.y = kNaN; }},
+          {"exit_range_ft", [](WormholeLink& w) { w.exit_range_ft = kNaN; }},
+          {"exit_range_ft", [](WormholeLink& w) { w.exit_range_ft = kInf; }},
+          {"exit_range_ft", [](WormholeLink& w) { w.exit_range_ft = 0.0; }},
+          {"extra_delay_cycles",
+           [](WormholeLink& w) { w.extra_delay_cycles = kNaN; }},
+          {"extra_delay_cycles",
+           [](WormholeLink& w) { w.extra_delay_cycles = kInf; }},
+          {"extra_delay_cycles",
+           [](WormholeLink& w) { w.extra_delay_cycles = -1.0; }},
+          {"extra_delay_cycles",
+           [](WormholeLink& w) { w.extra_delay_cycles = 1e300; }},
+      };
+  for (const auto& [field, make_bad] : breaks) {
+    WormholeLink link;
+    link.mouth_a = {100, 100};
+    link.mouth_b = {800, 700};
+    link.exit_range_ft = 150.0;
+    make_bad(link);
+    try {
+      net.channel().add_wormhole(link);
+      ADD_FAILURE() << "accepted a bad " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_TRUE(net.channel().wormholes().empty());
 }
 
 /// Answers every delivery with a reply carrying the received payload,

@@ -1,7 +1,6 @@
-// Event queue and Action tests: ordering, the (when, seq) tie-break
-// against a sorted reference model, sift-step counts against the
-// Event-heap implementation the key heap replaced (kept below as the
-// oracle), and Action storage — inline without allocating, heap fallback,
+// Event queue and Action tests: ordering, the FIFO tie-break and the
+// push contract against a sorted reference model, the bound on bucket
+// moves, and Action storage — inline without allocating, heap fallback,
 // move-only captures, destruction of actions that never ran. Property
 // cases replay with SLD_PROP_SEED.
 #include "sim/event.hpp"
@@ -12,6 +11,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -82,101 +82,74 @@ TEST(EventQueue, InterleavedPushPopKeepsOrder) {
   std::vector<int> order;
   q.push(10, [&]() { order.push_back(1); });
   q.pop().action();
-  q.push(5, [&]() { order.push_back(2); });
+  // Earlier than the last pop breaks the contract: the push throws and
+  // leaves the queue as it was.
+  EXPECT_THROW(q.push(5, [&]() { order.push_back(0); }), std::logic_error);
+  EXPECT_TRUE(q.empty());
   q.push(15, [&]() { order.push_back(3); });
+  q.push(10, [&]() { order.push_back(2); });
+  EXPECT_THROW(q.push(9, [&]() { order.push_back(0); }), std::logic_error);
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.next_time(), 10);
   while (!q.empty()) q.pop().action();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-// --- the (when, seq) order and sift-step counts, by property -----------------
+TEST(EventQueue, BaseTimeStartsAtZeroAndClearResetsIt) {
+  EventQueue q;
+  EXPECT_THROW(q.push(-1, []() {}), std::logic_error);
+  q.push(3, []() {});
+  q.push(0, []() {});
+  EXPECT_EQ(q.pop().when, 0);
+  EXPECT_EQ(q.pop().when, 3);
+  EXPECT_THROW(q.push(2, []() {}), std::logic_error);
+  q.clear();
+  q.push(2, []() {});
+  EXPECT_EQ(q.next_time(), 2);
+  EXPECT_EQ(q.pop().when, 2);
+}
 
-/// The queue this one replaced: a binary heap of whole events with the
-/// same hole-based sift. Its step counts are what the micro_hotpaths
-/// golden and the exact counters pin.
-class EventHeapOracle {
- public:
-  void push(SimTime when, int id) {
-    heap_.push_back(Entry{when, next_seq_++, id});
-    std::size_t i = heap_.size() - 1;
-    const Entry ev = heap_[i];
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      if (!later(heap_[parent], ev)) break;
-      heap_[i] = heap_[parent];
-      i = parent;
-      ++sift_up_steps;
-    }
-    heap_[i] = ev;
-  }
+// --- the (when, push order) order and the move bound, by property ------------
 
-  int pop() {
-    const Entry top = heap_.front();
-    const Entry ev = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) {
-      std::size_t i = 0;
-      const std::size_t n = heap_.size();
-      for (;;) {
-        const std::size_t left = 2 * i + 1;
-        if (left >= n) break;
-        const std::size_t right = left + 1;
-        std::size_t smallest = left;
-        if (right < n && later(heap_[left], heap_[right])) smallest = right;
-        if (!later(ev, heap_[smallest])) break;
-        heap_[i] = heap_[smallest];
-        i = smallest;
-        ++sift_down_steps;
-      }
-      heap_[i] = ev;
-    }
-    return top.id;
-  }
-
-  void clear() {
-    heap_.clear();
-    next_seq_ = 0;
-    sift_up_steps = 0;
-    sift_down_steps = 0;
-  }
-
-  std::uint64_t sift_up_steps = 0;
-  std::uint64_t sift_down_steps = 0;
-
- private:
-  struct Entry {
-    SimTime when;
-    std::uint64_t seq;
-    int id;
-  };
-  static bool later(const Entry& a, const Entry& b) {
-    if (a.when != b.when) return a.when > b.when;
-    return a.seq > b.seq;
-  }
-  std::vector<Entry> heap_;
-  std::uint64_t next_seq_ = 0;
-};
-
+/// A push lands `delay` after the last popped time (0 before the first pop
+/// and after a clear), so every push keeps the queue's contract.
 struct QueueOp {
   enum Kind { kPush, kPop, kClear } kind = kPush;
-  SimTime when = 0;
+  SimTime delay = 0;
 };
 
 std::string show_ops(const std::vector<QueueOp>& ops) {
   std::ostringstream os;
   for (const auto& op : ops) {
-    if (op.kind == QueueOp::kPush) os << "push(" << op.when << ") ";
+    if (op.kind == QueueOp::kPush) os << "push(+" << op.delay << ") ";
     if (op.kind == QueueOp::kPop) os << "pop ";
     if (op.kind == QueueOp::kClear) os << "clear ";
   }
   return os.str();
 }
 
+/// 0 (a tie with the last pop), small (ties among queued events), or
+/// log-uniform up to 2^40 or up to 2^62, so every bucket gets items.
+SimTime draw_delay(util::Rng& rng) {
+  const auto bits = [&rng](std::int64_t lo, std::int64_t hi) {
+    const auto k = static_cast<unsigned>(rng.uniform_int(lo, hi));
+    return static_cast<SimTime>(rng.uniform_u64(std::uint64_t{1} << k));
+  };
+  switch (rng.uniform_u64(4)) {
+    case 0:
+      return 0;
+    case 1:
+      return static_cast<SimTime>(rng.uniform_u64(8));
+    case 2:
+      return bits(1, 40);
+    default:
+      return bits(41, 62);
+  }
+}
+
 prop::Gen<std::vector<QueueOp>> queue_ops() {
   prop::Gen<std::vector<QueueOp>> g;
   g.generate = [](util::Rng& rng) {
-    // Few distinct times, so most pushes tie with queued events.
-    const auto distinct_times =
-        static_cast<std::int64_t>(1 + rng.uniform_u64(12));
     const std::size_t n = 1 + rng.uniform_u64(1500);
     std::vector<QueueOp> ops(n);
     for (auto& op : ops) {
@@ -184,7 +157,7 @@ prop::Gen<std::vector<QueueOp>> queue_ops() {
       op.kind = u < 0.58   ? QueueOp::kPush
                 : u < 0.998 ? QueueOp::kPop
                             : QueueOp::kClear;
-      op.when = rng.uniform_int(0, distinct_times - 1);
+      if (op.kind == QueueOp::kPush) op.delay = draw_delay(rng);
     }
     return ops;
   };
@@ -201,12 +174,11 @@ prop::Gen<std::vector<QueueOp>> queue_ops() {
   return g;
 }
 
-TEST(EventQueueProperty, PopOrderAndSiftStepsMatchReferenceAndOracle) {
+TEST(EventQueueProperty, PopOrderMatchesReferenceAndMovesStayBounded) {
   EXPECT_TRUE(prop::forall(
-      "pops follow (when, seq); sift steps equal the Event heap's",
+      "pops follow (when, push order); each item moves at most 63 times",
       queue_ops(), [](const std::vector<QueueOp>& ops) {
         EventQueue q;
-        EventHeapOracle oracle;
         // Reference model: pending (when, seq, id), popped by minimum.
         struct Pending {
           SimTime when;
@@ -215,14 +187,19 @@ TEST(EventQueueProperty, PopOrderAndSiftStepsMatchReferenceAndOracle) {
         };
         std::vector<Pending> model;
         std::uint64_t seq = 0;
+        std::uint64_t pushes = 0;
+        SimTime base = 0;
         int next_id = 0;
         int last_run = -1;
         for (const auto& op : ops) {
           if (op.kind == QueueOp::kPush) {
+            const SimTime when =
+                base + std::min(op.delay,
+                                std::numeric_limits<SimTime>::max() - base);
             const int id = next_id++;
-            q.push(op.when, [id, &last_run]() { last_run = id; });
-            oracle.push(op.when, id);
-            model.push_back(Pending{op.when, seq++, id});
+            q.push(when, [id, &last_run]() { last_run = id; });
+            model.push_back(Pending{when, seq++, id});
+            ++pushes;
           } else if (op.kind == QueueOp::kPop) {
             if (model.empty()) continue;
             const auto min = std::min_element(
@@ -237,17 +214,18 @@ TEST(EventQueueProperty, PopOrderAndSiftStepsMatchReferenceAndOracle) {
             if (ev.when != expected.when) return false;
             ev.action();
             if (last_run != expected.id) return false;
-            if (oracle.pop() != expected.id) return false;
+            base = expected.when;
           } else {
             q.clear();
-            oracle.clear();
             model.clear();
             seq = 0;
+            pushes = 0;
+            base = 0;
           }
           if (q.size() != model.size()) return false;
+          if (q.sift_down_steps() > 63 * pushes) return false;
         }
-        return q.sift_up_steps() == oracle.sift_up_steps &&
-               q.sift_down_steps() == oracle.sift_down_steps;
+        return true;
       }));
 }
 

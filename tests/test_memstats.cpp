@@ -309,7 +309,6 @@ TEST(Memstats, RollupAndPerScopeCountsIdenticalAcrossJobs1And4) {
   EXPECT_EQ(agg4.memhot.frees, agg1.memhot.frees);
   EXPECT_EQ(agg4.memhot.freed_bytes, agg1.memhot.freed_bytes);
   EXPECT_EQ(agg4.memhot.max_queue_depth, agg1.memhot.max_queue_depth);
-  EXPECT_EQ(agg4.memhot.sift_up_steps, agg1.memhot.sift_up_steps);
   EXPECT_EQ(agg4.memhot.sift_down_steps, agg1.memhot.sift_down_steps);
   EXPECT_EQ(agg4.memhot.scans, agg1.memhot.scans);
   EXPECT_EQ(agg4.memhot.scan_nodes, agg1.memhot.scan_nodes);

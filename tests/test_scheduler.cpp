@@ -53,6 +53,33 @@ TEST(Scheduler, RunUntilStopsAtBoundary) {
   EXPECT_EQ(s.pending(), 1u);
 }
 
+TEST(Scheduler, ZeroDelayFromAnActionRunsAfterTheSameInstantsQueuedEvents) {
+  Scheduler s;
+  std::vector<int> order;
+  s.schedule_at(10, [&]() {
+    order.push_back(1);
+    s.schedule_after(0, [&]() { order.push_back(4); });
+  });
+  s.schedule_at(10, [&]() { order.push_back(2); });
+  s.schedule_at(10, [&]() { order.push_back(3); });
+  s.schedule_at(11, [&]() { order.push_back(5); });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+TEST(Scheduler, EventScheduledBeforeAPendingOneAfterRunUntilRunsFirst) {
+  // run_until reads the next event's time without consuming it, so an
+  // event scheduled between the stop and that time still fits in front.
+  Scheduler s;
+  std::vector<SimTime> seen;
+  s.schedule_at(10, [&]() { seen.push_back(s.now()); });
+  s.schedule_at(30, [&]() { seen.push_back(s.now()); });
+  EXPECT_EQ(s.run_until(20), 1u);
+  s.schedule_at(25, [&]() { seen.push_back(s.now()); });
+  s.run();
+  EXPECT_EQ(seen, (std::vector<SimTime>{10, 25, 30}));
+}
+
 TEST(Scheduler, RunUntilAdvancesTimeEvenWhenIdle) {
   Scheduler s;
   s.run_until(500);

@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -216,6 +217,34 @@ TEST(SystemConfigValidation, UnusableArqIsRejectedWhenEnabled) {
   SystemConfig c = small_config();
   c.arq.enabled = true;
   EXPECT_NO_THROW(SecureLocalizationSystem{c});
+}
+
+TEST(SystemConfigValidation, BadCustomWormholeIsRejected) {
+  // A NaN exit range used to run with no wormhole deliveries, a NaN mouth
+  // with half a tunnel, and a negative or NaN delay threw from inside
+  // run() (the NaN after an undefined cast to SimTime).
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<
+      std::pair<std::string, std::function<void(sim::WormholeLink&)>>>
+      breaks = {
+          {"exit_range_ft",
+           [](sim::WormholeLink& w) { w.exit_range_ft = kNaN; }},
+          {"mouth_b", [](sim::WormholeLink& w) { w.mouth_b.x = kNaN; }},
+          {"extra_delay_cycles",
+           [](sim::WormholeLink& w) { w.extra_delay_cycles = -1.0; }},
+          {"extra_delay_cycles",
+           [](sim::WormholeLink& w) { w.extra_delay_cycles = kNaN; }},
+      };
+  for (const auto& [field, make_bad] : breaks) {
+    SystemConfig c = small_config();
+    sim::WormholeLink link;
+    link.mouth_a = {100, 100};
+    link.mouth_b = {400, 300};
+    link.exit_range_ft = c.deployment.comm_range_ft;
+    make_bad(link);
+    c.custom_wormholes.push_back(link);
+    expect_rejected(c, field);
+  }
 }
 
 TEST(SystemIntegration, WormholeAloneCausesNoRevocations) {

@@ -666,9 +666,9 @@ TEST(Timeseries, InstrumentOutputMatchesPinnedDigests) {
     stream += '\n';
   }
   EXPECT_EQ(sha256_hex(mask_host_values(s.metrics_json)),
-            "e3e91dcae5e53f6a78d9149cf6b12a1b1a213e9b83c91dd6abb7489da741a424");
+            "36cce51ca71c1964ae2c18991b6b4dc9c29197cc14095c68c0122bed02812d53");
   EXPECT_EQ(sha256_hex(stream),
-            "70b163ee617bc7e61778733da06e48f28b99947e57364545f86a3c8e4363e39a");
+            "706c8cfffde0de43f0aa725c469eaa8af68b911464cc3dd1748493fbaef6f2bd");
 }
 
 TEST(Timeseries, TrialEndingOnAWindowEdgeSnapshotsItsFinalCounts) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Mutation smoke test: applies 26 curated single-line mutants to the
+# Mutation smoke test: applies 29 curated single-line mutants to the
 # detection/revocation/sim/crypto/core/obs/ranging sources and verifies the
 # test suite kills every one (at least one registered test fails per
 # mutant). A mutant that survives means a guard has no test teeth — the
@@ -134,9 +134,15 @@ add_mutant "mac-drop-length-word" \
   "test_mac"
 
 add_mutant "event-queue-reverse-tie-break" \
-  "src/sim/event.hpp" \
-  "    return a.seq > b.seq;" \
-  "    return a.seq < b.seq;" \
+  "src/sim/event.cpp" \
+  "const Item item = ready[head_++];" \
+  "const Item item = ready[ready.size() - 1 - head_++];" \
+  "test_event_queue"
+
+add_mutant "radix-refill-first-not-min" \
+  "src/sim/event.cpp" \
+  "  last_ = mins_[b];" \
+  "  last_ = buckets_[b].front().when;" \
   "test_event_queue"
 
 add_mutant "detector-swallow-alert" \
@@ -144,6 +150,18 @@ add_mutant "detector-swallow-alert" \
   "outcome = ProbeOutcome::kAlert;" \
   "outcome = ProbeOutcome::kConsistent;" \
   "test_invariants"
+
+add_mutant "admission-rate-pass-nan" \
+  "src/revocation/admission.cpp" \
+  "  if (!(x >= 0 && std::isfinite(x)))" \
+  "  if (x < 0)" \
+  "test_admission"
+
+add_mutant "wormhole-link-pass-nan-range" \
+  "src/sim/channel.cpp" \
+  "  if (!(link.exit_range_ft > 0.0 && std::isfinite(link.exit_range_ft)))" \
+  "  if (link.exit_range_ft <= 0.0)" \
+  "test_channel"
 
 add_mutant "wormhole-rate-pass-nan" \
   "src/ranging/wormhole_detector.cpp" \
