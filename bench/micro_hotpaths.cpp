@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
         }
 
         // --- event-queue churn (the radix queue) -------------------------
-        // Also the micro-scale memstats subject: push and pop allocate
+        // Also the micro-scale memstats subject: push and run_next allocate
         // (bucket growth and slot chunks) under the "scheduler" scope, so
         // the per-thread delta around the loop is exactly this workload's
         // allocation bill.
@@ -107,8 +107,9 @@ int main(int argc, char** argv) {
               q.push(static_cast<sld::sim::SimTime>((i * 7919 + r) % events),
                      []() {});
             while (!q.empty()) {
-              sum = checksum_fold(
-                  sum, static_cast<std::uint64_t>(q.pop().when));
+              q.run_next([&sum](sld::sim::SimTime when) {
+                sum = checksum_fold(sum, static_cast<std::uint64_t>(when));
+              });
             }
             moves += q.sift_down_steps();
           }

@@ -15,23 +15,50 @@
 namespace sld::core {
 
 namespace {
-/// Builds the authenticated wire message for a payload.
-sim::Message make_message(const crypto::PairwiseKeyManager& keys,
-                          sim::NodeId src, sim::NodeId dst, sim::MsgType type,
+/// Builds the wire message for a payload, authenticated under `key`, the
+/// pairwise key of src and dst.
+sim::Message make_message(const crypto::Key128& key, sim::NodeId src,
+                          sim::NodeId dst, sim::MsgType type,
                           const sim::Payload& payload) {
   sim::Message msg;
   msg.src = src;
   msg.dst = dst;
   msg.type = type;
   msg.payload = payload;
-  msg.mac = crypto::compute_mac(keys.pairwise_key(src, dst), src, dst,
-                                msg.payload);
+  msg.mac = crypto::compute_mac(key, src, dst, msg.payload);
   return msg;
 }
 
-bool verify(const crypto::PairwiseKeyManager& keys, const sim::Message& msg) {
-  return crypto::verify_mac(keys.pairwise_key(msg.src, msg.dst), msg.src,
-                            msg.dst, msg.payload, msg.mac);
+/// True if `msg` carries a valid tag under `key`, the pairwise key of its
+/// src and dst.
+bool verify(const crypto::Key128& key, const sim::Message& msg) {
+  return crypto::verify_mac(key, msg.src, msg.dst, msg.payload, msg.mac);
+}
+
+/// A responding beacon's side of the exchange, benign or malicious: verify
+/// the request (a forgery counts as a MAC failure), then send `self`'s
+/// reply, which `craft` builds from the request's nonce.
+template <typename Craft>
+void answer_request(SystemContext& ctx, const sim::Node& self,
+                    sim::Channel& channel, const sim::Message& request,
+                    Craft&& craft) {
+  const crypto::Key128 key = ctx.keys.pairwise_key(request.src, request.dst);
+  if (!verify(key, request)) {
+    ++ctx.metrics.mac_failures;
+    return;
+  }
+  const auto req = sim::BeaconRequestPayload::parse(request.payload);
+  const sim::BeaconReplyPayload reply = craft(req.nonce);
+  // A request addresses its target's own ID, so the reply travels between
+  // the same two nodes, under the key that verified the request: one
+  // derivation per answer. A request that reached `self` under another ID
+  // (an alias; nothing sends one today) has its reply's key derived.
+  const crypto::Key128 reply_key =
+      request.dst == self.id() ? key
+                               : ctx.keys.pairwise_key(self.id(), request.src);
+  channel.unicast(self, make_message(reply_key, self.id(), request.src,
+                                     sim::MsgType::kBeaconReply,
+                                     reply.serialize()));
 }
 }  // namespace
 
@@ -336,10 +363,10 @@ void Requester::send_request(const Request& request, bool is_retransmission) {
         .f("retx", is_retransmission);
     ctx_.tracer.emit(event);
   }
-  channel().unicast(*this, make_message(ctx_.keys, request.from,
-                                        request.target,
-                                        sim::MsgType::kBeaconRequest,
-                                        req.serialize()));
+  channel().unicast(
+      *this, make_message(ctx_.keys.pairwise_key(request.from, request.target),
+                          request.from, request.target,
+                          sim::MsgType::kBeaconRequest, req.serialize()));
   if (ctx_.config.arq.enabled) {
     const sim::SimTime timeout =
         sim::arq_timeout(ctx_.config.arq, request.attempt, rng_);
@@ -383,11 +410,12 @@ void Requester::on_timeout(std::uint64_t nonce) {
 
 auto Requester::match_reply(const sim::Delivery& delivery)
     -> std::optional<Answer> {
-  if (!verify(ctx_.keys, delivery.msg)) {
+  const sim::Message& msg = delivery.msg;
+  if (!verify(ctx_.keys.pairwise_key(msg.src, msg.dst), msg)) {
     ++ctx_.metrics.mac_failures;
     return std::nullopt;
   }
-  const auto reply = sim::BeaconReplyPayload::parse(delivery.msg.payload);
+  const auto reply = sim::BeaconReplyPayload::parse(msg.payload);
   const Request* found = pending_.find(reply.nonce);
   if (found == nullptr) return std::nullopt;  // duplicate or stale
   const Request request = *found;
@@ -395,7 +423,7 @@ auto Requester::match_reply(const sim::Delivery& delivery)
   // Only the beacon asked may answer: another holds its own pairwise key
   // with this ID, so its MAC verifies, but its reply says nothing of the
   // target.
-  if (delivery.msg.src != request.target) return std::nullopt;
+  if (msg.src != request.target) return std::nullopt;
   return Answer{request, reply};
 }
 
@@ -448,7 +476,13 @@ void BeaconNode::on_reboot(sim::SimTime now, sim::SimTime) {
 void BeaconNode::on_message(const sim::Delivery& delivery) {
   switch (delivery.msg.type) {
     case sim::MsgType::kBeaconRequest:
-      handle_request(delivery);
+      answer_request(ctx_, *this, channel(), delivery.msg,
+                     [this](std::uint64_t nonce) {
+                       sim::BeaconReplyPayload reply;
+                       reply.nonce = nonce;
+                       reply.claimed_position = position();  // truthful
+                       return reply;
+                     });
       return;
     case sim::MsgType::kBeaconReply:
       handle_probe_reply(delivery);
@@ -456,20 +490,6 @@ void BeaconNode::on_message(const sim::Delivery& delivery) {
     default:
       return;  // beacons ignore other traffic
   }
-}
-
-void BeaconNode::handle_request(const sim::Delivery& delivery) {
-  if (!verify(ctx_.keys, delivery.msg)) {
-    ++ctx_.metrics.mac_failures;
-    return;
-  }
-  const auto req = sim::BeaconRequestPayload::parse(delivery.msg.payload);
-  sim::BeaconReplyPayload reply;
-  reply.nonce = req.nonce;
-  reply.claimed_position = position();  // truthful
-  channel().unicast(*this, make_message(ctx_.keys, id(), delivery.msg.src,
-                                        sim::MsgType::kBeaconReply,
-                                        reply.serialize()));
 }
 
 void BeaconNode::handle_probe_reply(const sim::Delivery& delivery) {
@@ -541,18 +561,13 @@ MaliciousBeaconNode::MaliciousBeaconNode(sim::NodeId id, util::Vec2 position,
 
 void MaliciousBeaconNode::on_message(const sim::Delivery& delivery) {
   if (delivery.msg.type != sim::MsgType::kBeaconRequest) return;
-  if (!verify(ctx_.keys, delivery.msg)) {
-    ++ctx_.metrics.mac_failures;
-    return;
-  }
-  const auto req = sim::BeaconRequestPayload::parse(delivery.msg.payload);
   // The requester ID is all the attacker sees — it cannot tell a detecting
   // ID from a real sensor ID, which is the crux of the scheme.
-  const auto reply =
-      strategy_.craft_reply(delivery.msg.src, req.nonce, position());
-  channel().unicast(*this, make_message(ctx_.keys, id(), delivery.msg.src,
-                                        sim::MsgType::kBeaconReply,
-                                        reply.serialize()));
+  answer_request(ctx_, *this, channel(), delivery.msg,
+                 [&](std::uint64_t nonce) {
+                   return strategy_.craft_reply(delivery.msg.src, nonce,
+                                                position());
+                 });
 }
 
 // --- SensorNode -----------------------------------------------------------

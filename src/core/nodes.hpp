@@ -346,7 +346,6 @@ class BeaconNode final : public Requester {
   std::size_t alerts_reported() const { return reported_.size(); }
 
  private:
-  void handle_request(const sim::Delivery& delivery);
   void handle_probe_reply(const sim::Delivery& delivery);
   /// (Re)schedules one probe per (target, detecting id), staggered from
   /// max(now, probe_phase_start) — start() and post-reboot restarts share it.

@@ -24,7 +24,10 @@ class PairwiseKeyManager {
   /// Deterministic from a 64-bit seed (test convenience).
   static PairwiseKeyManager from_seed(std::uint64_t seed);
 
-  /// Unique key for the unordered pair {a, b}. a != b required.
+  /// Unique key for the unordered pair {a, b}. a != b required. Each call
+  /// derives the key afresh (derive_key) and nothing is cached, so a caller
+  /// that needs one pair's key twice keeps it: a responding beacon
+  /// verifies a request and MACs its reply under one derivation.
   Key128 pairwise_key(std::uint32_t a, std::uint32_t b) const;
 
   /// Unique key shared between node `id` and the base station.

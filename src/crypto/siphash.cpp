@@ -116,8 +116,14 @@ std::uint64_t siphash24_u64(const Key128& key, std::uint64_t value) {
 }
 
 Key128 derive_key(const Key128& master, std::uint64_t label) {
-  const std::uint64_t lo = siphash24_u64(master, label * 2);
-  const std::uint64_t hi = siphash24_u64(master, label * 2 + 1);
+  // Two siphash24_u64 calls from one keyed state: written side by side,
+  // their independent round chains overlap.
+  SipState lo_state = initial_state(master);
+  SipState hi_state = lo_state;
+  lo_state.compress(label * 2);
+  hi_state.compress(label * 2 + 1);
+  const std::uint64_t lo = lo_state.finish(0, 8);
+  const std::uint64_t hi = hi_state.finish(0, 8);
   Key128 out{};
   for (int i = 0; i < 8; ++i) {
     out[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(lo >> (8 * i));

@@ -37,8 +37,9 @@ std::uint64_t siphash24(const Key128& key, std::span<const std::uint8_t> data);
 /// Convenience: SipHash-2-4 of a 64-bit value (little-endian encoded).
 std::uint64_t siphash24_u64(const Key128& key, std::uint64_t value);
 
-/// Derives a subkey from `master` and a 64-bit context label, by using the
-/// PRF output of two related labels as the two subkey halves.
+/// Derives a subkey from `master` and a 64-bit context label: the
+/// little-endian bytes of siphash24_u64(master, 2·label) followed by those
+/// of siphash24_u64(master, 2·label + 1), with 2·label taken mod 2^64.
 Key128 derive_key(const Key128& master, std::uint64_t label);
 
 }  // namespace sld::crypto

@@ -7,8 +7,9 @@ namespace sld::detection {
 
 ConsistencyCheck::ConsistencyCheck(double max_error_ft)
     : max_error_ft_(max_error_ft) {
-  if (max_error_ft < 0.0)
-    throw std::invalid_argument("ConsistencyCheck: negative error bound");
+  if (!(max_error_ft >= 0.0))  // NaN-proof
+    throw std::invalid_argument(
+        "ConsistencyCheck: max_error_ft must be non-negative");
 }
 
 double ConsistencyCheck::calculated_distance(

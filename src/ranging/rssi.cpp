@@ -7,12 +7,26 @@
 namespace sld::ranging {
 
 RssiRangingModel::RssiRangingModel(RssiConfig config) : config_(config) {
-  if (config_.max_error_ft < 0.0)
-    throw std::invalid_argument("RssiRangingModel: negative max error");
-  if (config_.path_loss_exponent <= 0.0)
-    throw std::invalid_argument("RssiRangingModel: bad path-loss exponent");
-  if (config_.reference_distance_ft <= 0.0)
-    throw std::invalid_argument("RssiRangingModel: bad reference distance");
+  // NaN-proof, naming the field: a NaN or infinite bound makes every
+  // measured distance NaN, which the final clamp reads as 0 ft, and then
+  // no deviation exceeds the bound.
+  if (!(config_.max_error_ft >= 0.0 && std::isfinite(config_.max_error_ft)))
+    throw std::invalid_argument(
+        "RssiRangingModel: max_error_ft must be finite and non-negative");
+  if (!(config_.path_loss_exponent > 0.0 &&
+        std::isfinite(config_.path_loss_exponent)))
+    throw std::invalid_argument(
+        "RssiRangingModel: path_loss_exponent must be finite and positive");
+  if (!(config_.reference_distance_ft > 0.0 &&
+        std::isfinite(config_.reference_distance_ft)))
+    throw std::invalid_argument(
+        "RssiRangingModel: reference_distance_ft must be finite and "
+        "positive");
+  if (!(config_.shadowing_sigma_db >= 0.0 &&
+        std::isfinite(config_.shadowing_sigma_db)))
+    throw std::invalid_argument(
+        "RssiRangingModel: shadowing_sigma_db must be finite and "
+        "non-negative");
 }
 
 double RssiRangingModel::measure(double true_distance_ft,

@@ -1,13 +1,23 @@
 #include "ranging/rtt.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace sld::ranging {
 
 MoteTimingModel::MoteTimingModel(MoteTimingConfig config) : config_(config) {
-  if (config_.edge_base_cycles < 0.0 || config_.edge_jitter_cycles < 0.0)
-    throw std::invalid_argument("MoteTimingModel: negative timing parameter");
+  // NaN-proof, naming the field: a NaN edge delay used to fail later, in
+  // the RTT calibration's histogram, under no field's name.
+  if (!(config_.edge_base_cycles >= 0.0 &&
+        std::isfinite(config_.edge_base_cycles)))
+    throw std::invalid_argument(
+        "MoteTimingModel: edge_base_cycles must be finite and non-negative");
+  if (!(config_.edge_jitter_cycles >= 0.0 &&
+        std::isfinite(config_.edge_jitter_cycles)))
+    throw std::invalid_argument(
+        "MoteTimingModel: edge_jitter_cycles must be finite and "
+        "non-negative");
 }
 
 double MoteTimingModel::sample_rtt_cycles(double distance_ft,

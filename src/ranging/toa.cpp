@@ -1,6 +1,7 @@
 #include "ranging/toa.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "sim/time.hpp"
@@ -12,8 +13,11 @@ constexpr double kFeetPerNanosecond = sim::kSpeedOfLightFtPerSec * 1e-9;
 }
 
 ToaRangingModel::ToaRangingModel(ToaConfig config) : config_(config) {
-  if (config_.max_sync_error_ns < 0.0)
-    throw std::invalid_argument("ToaRangingModel: negative sync error bound");
+  // NaN-proof: a NaN bound makes every distance NaN, read as 0 ft.
+  if (!(config_.max_sync_error_ns >= 0.0 &&
+        std::isfinite(config_.max_sync_error_ns)))
+    throw std::invalid_argument(
+        "ToaRangingModel: max_sync_error_ns must be finite and non-negative");
 }
 
 double ToaRangingModel::max_error_ft() const {

@@ -25,12 +25,14 @@ void EventQueue::place(const Item& item) {
   bucket.push_back(item);
 }
 
-void EventQueue::push(SimTime when, SimTime queued_at, Action action) {
+void EventQueue::push(SimTime when, SimTime queued_at, Action&& action) {
   SLD_MEM_SCOPE("scheduler");
   if (when < last_)
     throw std::logic_error("EventQueue::push: time before the last pop");
   const std::uint32_t slot = slots_.acquire();
-  slots_[slot] = Slot{std::move(action), queued_at};
+  Slot& waiting = slots_[slot];
+  waiting.action = std::move(action);
+  waiting.queued_at = queued_at;
   place(Item{when, slot});
   ++size_;
   if (hot_ != nullptr && hot_->queue_depth != nullptr)
@@ -57,8 +59,8 @@ std::uint64_t EventQueue::refill() {
   return moved;
 }
 
-Event EventQueue::pop() {
-  if (size_ == 0) throw std::logic_error("EventQueue::pop: empty");
+auto EventQueue::take() -> Item {
+  if (size_ == 0) throw std::logic_error("EventQueue::run_next: empty");
   std::vector<Item>& ready = buckets_[0];
   const std::uint64_t moved = head_ == ready.size() ? refill() : 0;
   const Item item = ready[head_++];
@@ -67,18 +69,15 @@ Event EventQueue::pop() {
     head_ = 0;
   }
   --size_;
-  Slot& slot = slots_[item.slot];
-  Event out{item.when, slot.queued_at, std::move(slot.action)};
-  slots_.release(item.slot);
   moves_ += moved;
   if (hot_ != nullptr) {
     if (hot_->sift_down != nullptr)
       hot_->sift_down->observe(static_cast<double>(moved));
     if (hot_->event_wait_ns != nullptr)
       hot_->event_wait_ns->observe(
-          static_cast<double>(out.when - out.queued_at));
+          static_cast<double>(item.when - slots_[item.slot].queued_at));
   }
-  return out;
+  return item;
 }
 
 void EventQueue::clear() {

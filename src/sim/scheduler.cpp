@@ -20,15 +20,18 @@ void Scheduler::schedule_after(SimTime delay, Action action) {
   note_depth();
 }
 
+void Scheduler::advance_clock(SimTime when) {
+  SLD_INVARIANT(when >= now_,
+                "time monotonicity: event at " << when
+                    << " ns while the clock reads " << now_ << " ns");
+  if (probe_on_ && when > now_) probe_(when);
+  now_ = when;
+}
+
 std::uint64_t Scheduler::run(std::uint64_t max_events) {
   std::uint64_t executed = 0;
   while (!queue_.empty() && executed < max_events) {
-    Event ev = queue_.pop();
-    SLD_INVARIANT(ev.when >= now_,
-                  "time monotonicity: popped event at " << ev.when
-                      << " ns while the clock reads " << now_ << " ns");
-    advance_clock(ev.when);
-    ev.action();
+    queue_.run_next([this](SimTime when) { advance_clock(when); });
     ++executed;
     ++executed_;
   }
@@ -38,15 +41,12 @@ std::uint64_t Scheduler::run(std::uint64_t max_events) {
 std::uint64_t Scheduler::run_until(SimTime until) {
   std::uint64_t executed = 0;
   while (!queue_.empty() && queue_.next_time() <= until) {
-    Event ev = queue_.pop();
-    SLD_INVARIANT(ev.when >= now_,
-                  "time monotonicity: popped event at " << ev.when
-                      << " ns while the clock reads " << now_ << " ns");
-    SLD_INVARIANT(ev.when <= until,
-                  "no event after stop: event at " << ev.when
-                      << " ns executed past run_until(" << until << ")");
-    advance_clock(ev.when);
-    ev.action();
+    queue_.run_next([&](SimTime when) {
+      SLD_INVARIANT(when <= until,
+                    "no event after stop: event at " << when
+                        << " ns executed past run_until(" << until << ")");
+      advance_clock(when);
+    });
     ++executed;
     ++executed_;
   }

@@ -29,7 +29,8 @@ class Scheduler {
   }
 
   /// Schedules `action` at absolute time `when` (>= now). Closures of up
-  /// to Action::kInlineBytes are stored without allocating.
+  /// to Action::kInlineBytes are stored without allocating. The action is
+  /// moved once more, into the queue's slot, and runs there.
   void schedule_at(SimTime when, Action action);
 
   /// Schedules `action` `delay` nanoseconds from now (delay >= 0).
@@ -60,7 +61,9 @@ class Scheduler {
   /// Event-queue items moved between buckets since construction / reset().
   std::uint64_t sift_down_steps() const { return queue_.sift_down_steps(); }
 
-  /// Drops all pending events and resets time and counters to zero.
+  /// Drops all pending events and resets time and counters to zero. An
+  /// event's action runs inside the queue's storage, so reset() may not
+  /// be called from inside one.
   void reset();
 
  private:
@@ -68,10 +71,9 @@ class Scheduler {
     if (queue_.size() > max_pending_) max_pending_ = queue_.size();
   }
 
-  void advance_clock(SimTime when) {
-    if (probe_on_ && when > now_) probe_(when);
-    now_ = when;
-  }
+  /// Moves the clock to `when` (never backwards), firing the time probe
+  /// first when it advances.
+  void advance_clock(SimTime when);
 
   SimTime now_ = 0;
   EventQueue queue_;

@@ -3,7 +3,8 @@
 //
 // Objects live in fixed-size chunks that are never reallocated, so a
 // reference to a slot survives any number of later acquires (a delivery
-// handler may send, and so acquire, while its own slot is in use), and
+// handler may send, and an action running in its slot may schedule, and
+// so acquire, while its own slot is in use), and
 // growing the pool never copies what it holds. (A doubling vector would
 // move live objects, and its growth slack raised the peak RSS of a
 // 16,000-node trial from 68 to 90 MB.) Released slots are reused

@@ -37,6 +37,12 @@ Table& Table::cell(long long v) {
   return *this;
 }
 
+Table& Table::cell(std::size_t v) {
+  if (rows_.empty()) throw std::logic_error("Table::cell before row()");
+  rows_.back().emplace_back(static_cast<std::uint64_t>(v));
+  return *this;
+}
+
 namespace {
 /// RFC 4180 quoting: a field containing a comma, quote, CR, or LF is
 /// wrapped in double quotes, with embedded quotes doubled.
@@ -56,6 +62,7 @@ std::string csv_escape(const std::string& field) {
 std::string render(const Table::Cell& c) {
   if (const auto* s = std::get_if<std::string>(&c)) return *s;
   if (const auto* i = std::get_if<long long>(&c)) return std::to_string(*i);
+  if (const auto* u = std::get_if<std::uint64_t>(&c)) return std::to_string(*u);
   const double d = std::get<double>(c);
   std::ostringstream os;
   if (std::abs(d) != 0.0 && (std::abs(d) < 1e-4 || std::abs(d) >= 1e7)) {

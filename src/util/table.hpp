@@ -2,6 +2,8 @@
 // that every bench emits uniformly formatted, machine-parsable series.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <variant>
@@ -12,7 +14,7 @@ namespace sld::util {
 /// A column-oriented table: fixed header, rows of cells, CSV output.
 class Table {
  public:
-  using Cell = std::variant<std::string, double, long long>;
+  using Cell = std::variant<std::string, double, long long, std::uint64_t>;
 
   explicit Table(std::vector<std::string> header);
 
@@ -24,7 +26,8 @@ class Table {
   Table& cell(double v);
   Table& cell(long long v);
   Table& cell(int v) { return cell(static_cast<long long>(v)); }
-  Table& cell(std::size_t v) { return cell(static_cast<long long>(v)); }
+  /// Counts and checksums: printed unsigned, so 2^63 and up stay positive.
+  Table& cell(std::size_t v);
 
   std::size_t row_count() const { return rows_.size(); }
 

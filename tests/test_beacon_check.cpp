@@ -101,6 +101,8 @@ TEST(ConsistencyCheck, DistanceConsistentLieIsInvisibleAndHarmless) {
 
 TEST(ConsistencyCheck, Validation) {
   EXPECT_THROW(ConsistencyCheck(-1.0), std::invalid_argument);
+  EXPECT_THROW(ConsistencyCheck(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
   ConsistencyCheck check(4.0);
   EXPECT_THROW(check.is_malicious({0, 0}, {1, 1}, -0.1),
                std::invalid_argument);

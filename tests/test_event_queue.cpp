@@ -1,8 +1,9 @@
 // Event queue and Action tests: ordering, the FIFO tie-break and the
 // push contract against a sorted reference model, the bound on bucket
-// moves, and Action storage — inline without allocating, heap fallback,
-// move-only captures, destruction of actions that never ran. Property
-// cases replay with SLD_PROP_SEED.
+// moves, Action storage — inline without allocating, heap fallback,
+// move-only captures, destruction of actions that never ran — and actions
+// that run in their slot: two moves from schedule to run, nested pushes,
+// a throwing action. Property cases replay with SLD_PROP_SEED.
 #include "sim/event.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,14 @@
 
 namespace sld::sim {
 namespace {
+
+/// Runs the earliest event through the queue's one take-and-run path and
+/// returns its time.
+SimTime run_next(EventQueue& q) {
+  SimTime at = -1;
+  q.run_next([&at](SimTime when) { at = when; });
+  return at;
+}
 
 TEST(EventQueue, EmptyByDefault) {
   EventQueue q;
@@ -36,7 +46,7 @@ TEST(EventQueue, PopsInTimeOrder) {
   q.push(30, [&]() { order.push_back(3); });
   q.push(10, [&]() { order.push_back(1); });
   q.push(20, [&]() { order.push_back(2); });
-  while (!q.empty()) q.pop().action();
+  while (!q.empty()) run_next(q);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -44,7 +54,7 @@ TEST(EventQueue, SameTimeIsFifo) {
   EventQueue q;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) q.push(5, [&order, i]() { order.push_back(i); });
-  while (!q.empty()) q.pop().action();
+  while (!q.empty()) run_next(q);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
@@ -55,18 +65,19 @@ TEST(EventQueue, NextTimeReportsEarliest) {
   EXPECT_EQ(q.next_time(), 50);
 }
 
-TEST(EventQueue, PopReturnsEventWithMetadata) {
+TEST(EventQueue, RunNextHandsOverTheTimeBeforeTheActionRuns) {
   EventQueue q;
-  q.push(77, []() {});
-  const Event ev = q.pop();
-  EXPECT_EQ(ev.when, 77);
+  std::vector<SimTime> log;  // the time handed over, then -1 for the run
+  q.push(77, [&]() { log.push_back(-1); });
+  q.run_next([&](SimTime when) { log.push_back(when); });
+  EXPECT_EQ(log, (std::vector<SimTime>{77, -1}));
   EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, ThrowsOnEmptyAccess) {
   EventQueue q;
   EXPECT_THROW(q.next_time(), std::logic_error);
-  EXPECT_THROW(q.pop(), std::logic_error);
+  EXPECT_THROW(run_next(q), std::logic_error);
 }
 
 TEST(EventQueue, ClearDropsEverything) {
@@ -81,7 +92,7 @@ TEST(EventQueue, InterleavedPushPopKeepsOrder) {
   EventQueue q;
   std::vector<int> order;
   q.push(10, [&]() { order.push_back(1); });
-  q.pop().action();
+  run_next(q);
   // Earlier than the last pop breaks the contract: the push throws and
   // leaves the queue as it was.
   EXPECT_THROW(q.push(5, [&]() { order.push_back(0); }), std::logic_error);
@@ -91,7 +102,7 @@ TEST(EventQueue, InterleavedPushPopKeepsOrder) {
   EXPECT_THROW(q.push(9, [&]() { order.push_back(0); }), std::logic_error);
   EXPECT_EQ(q.size(), 2u);
   EXPECT_EQ(q.next_time(), 10);
-  while (!q.empty()) q.pop().action();
+  while (!q.empty()) run_next(q);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -100,13 +111,13 @@ TEST(EventQueue, BaseTimeStartsAtZeroAndClearResetsIt) {
   EXPECT_THROW(q.push(-1, []() {}), std::logic_error);
   q.push(3, []() {});
   q.push(0, []() {});
-  EXPECT_EQ(q.pop().when, 0);
-  EXPECT_EQ(q.pop().when, 3);
+  EXPECT_EQ(run_next(q), 0);
+  EXPECT_EQ(run_next(q), 3);
   EXPECT_THROW(q.push(2, []() {}), std::logic_error);
   q.clear();
   q.push(2, []() {});
   EXPECT_EQ(q.next_time(), 2);
-  EXPECT_EQ(q.pop().when, 2);
+  EXPECT_EQ(run_next(q), 2);
 }
 
 // --- the (when, push order) order and the move bound, by property ------------
@@ -210,9 +221,7 @@ TEST(EventQueueProperty, PopOrderMatchesReferenceAndMovesStayBounded) {
             const Pending expected = *min;
             model.erase(min);
             if (q.next_time() != expected.when) return false;
-            Event ev = q.pop();
-            if (ev.when != expected.when) return false;
-            ev.action();
+            if (run_next(q) != expected.when) return false;
             if (last_run != expected.id) return false;
             base = expected.when;
           } else {
@@ -251,7 +260,7 @@ TEST(Action, InlineCaptureMakesNoAllocation) {
   // first; its own growth is attributed to the "scheduler" scope anyway.
   EventQueue q;
   q.push(0, []() {});
-  q.pop();
+  run_next(q);
   obs::Memstats::set_enabled(true);
   const auto before = obs::Memstats::thread_totals_for("action_test");
   {
@@ -261,7 +270,7 @@ TEST(Action, InlineCaptureMakesNoAllocation) {
     moved();
     q.push(1, std::move(moved));
     q.push(2, inline_fn);
-    while (!q.empty()) q.pop().action();
+    while (!q.empty()) run_next(q);
   }
   const auto mid = obs::Memstats::thread_totals_for("action_test");
   {
@@ -269,7 +278,7 @@ TEST(Action, InlineCaptureMakesNoAllocation) {
     // real measurement.
     SLD_MEM_SCOPE("action_test");
     q.push(3, big_fn);
-    q.pop().action();
+    run_next(q);
   }
   const auto after = obs::Memstats::thread_totals_for("action_test");
   obs::Memstats::set_enabled(false);
@@ -307,7 +316,7 @@ TEST(Action, MoveOnlyCaptureWorks) {
   EventQueue q;
   auto other = std::make_unique<int>(7);
   q.push(3, [p = std::move(other), &seen]() { seen = *p; });
-  q.pop().action();
+  run_next(q);
   EXPECT_EQ(seen, 7);
 }
 
@@ -334,7 +343,7 @@ TEST(EventQueue, ClearAndDestructorDestroyActionsThatNeverRan) {
         q.push(i % 17, [c, pad]() { (void)c; (void)pad; });
     }
     EXPECT_EQ(live, 1200);
-    for (int i = 0; i < 100; ++i) q.pop().action();
+    for (int i = 0; i < 100; ++i) run_next(q);
     EXPECT_EQ(live, 1100);
     q.clear();
     EXPECT_EQ(live, 0);
@@ -375,6 +384,88 @@ TEST(Scheduler, ActionsSchedulingWhileSlotsRecycleRunIntact) {
   EXPECT_EQ(ran, scheduled);
   EXPECT_EQ(scheduled, 5000);
   EXPECT_EQ(corrupted, 0);
+  EXPECT_TRUE(s.idle());
+}
+
+/// A callable that counts its moves and its runs.
+struct MoveCounter {
+  int* moves;
+  int* runs;
+  MoveCounter(int* m, int* r) : moves(m), runs(r) {}
+  MoveCounter(MoveCounter&& o) noexcept : moves(o.moves), runs(o.runs) {
+    ++*moves;
+  }
+  MoveCounter(const MoveCounter&) = delete;
+  MoveCounter& operator=(const MoveCounter&) = delete;
+  MoveCounter& operator=(MoveCounter&&) = delete;
+  ~MoveCounter() = default;
+  void operator()() const { ++*runs; }
+};
+
+TEST(Scheduler, ScheduledCallableMovesTwiceBeforeItRuns) {
+  // Once into the Action that schedule_at takes, once into the queue's
+  // slot; it runs where it lies.
+  Scheduler s;
+  int moves = 0;
+  int runs = 0;
+  s.schedule_at(5, MoveCounter(&moves, &runs));
+  EXPECT_EQ(moves, 2);
+  s.run();
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(moves, 2);
+
+  moves = 0;
+  s.schedule_after(3, MoveCounter(&moves, &runs));
+  s.run();
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(moves, 2);
+}
+
+TEST(Scheduler, ActionReadsItsCapturesAfterSchedulingPastAChunk) {
+  // The action runs inside its slot while it pushes 600 events, more than
+  // one 512-slot chunk: no nested push may take its slot, and adding a
+  // chunk may not move it. Its captures are inline, so a push into its
+  // slot would overwrite the stamp it reads afterwards.
+  constexpr std::uint64_t kStamp = 0x5eed5eed5eed5eedULL;
+  Scheduler s;
+  std::array<std::uint64_t, 3> stamp{};
+  stamp.fill(kStamp);
+  int ran = 0;
+  int intact = -1;
+  const auto action = [stamp, &s, &ran, &intact]() {
+    for (int i = 0; i < 600; ++i)
+      s.schedule_after(1 + i % 3, [&ran]() { ++ran; });
+    intact = 0;
+    for (const auto w : stamp) intact += w == kStamp ? 1 : 0;
+  };
+  static_assert(sizeof(action) <= Action::kInlineBytes);
+  s.schedule_at(1, action);
+  s.run();
+  EXPECT_EQ(intact, 3);
+  EXPECT_EQ(ran, 600);
+  EXPECT_TRUE(s.idle());
+}
+
+TEST(Scheduler, ThrowingActionFreesItsSlotAndTheNextEventStillRuns) {
+  Scheduler s;
+  int live = 0;
+  bool next_ran = false;
+  {
+    Counted c(&live);
+    s.schedule_at(1, [c]() {
+      (void)c;
+      throw std::runtime_error("action failed");
+    });
+  }
+  s.schedule_at(2, [&]() { next_ran = true; });
+  EXPECT_EQ(live, 1);
+  EXPECT_THROW(s.run(), std::runtime_error);
+  EXPECT_EQ(live, 0);  // the thrown-from action was destroyed
+  EXPECT_EQ(s.pending(), 1u);
+  EXPECT_EQ(s.now(), 1);
+  EXPECT_EQ(s.run(), 1u);
+  EXPECT_TRUE(next_ran);
+  EXPECT_EQ(s.now(), 2);
   EXPECT_TRUE(s.idle());
 }
 

@@ -139,6 +139,46 @@ TEST_F(NodeProtocolTest, BeaconDropsForgedRequests) {
   EXPECT_EQ(ctx_.metrics.mac_failures, 1u);
 }
 
+TEST_F(NodeProtocolTest, RequestToAnAliasIsAnsweredUnderTheRespondersOwnKey) {
+  // A responder MACs its reply under the key that verified the request,
+  // which is right only when the request named the responder's own ID.
+  // One that reached it under another ID (an alias) is answered from the
+  // real ID, under that pair's key, for both kinds of responding beacon.
+  attack::MaliciousBeaconStrategy strategy(
+      attack::MaliciousStrategyConfig::with_effectiveness(1.0), 99);
+  auto& benign = net_.emplace_node<BeaconNode>(
+      1, util::Vec2{100, 100}, 150.0, ctx_, std::vector<sim::NodeId>{});
+  auto& mal = net_.emplace_node<MaliciousBeaconNode>(
+      2, util::Vec2{120, 100}, 150.0, ctx_, std::move(strategy));
+  auto& requester = net_.emplace_node<ProbeNode>(
+      sim::kNonBeaconIdBase, util::Vec2{150, 100}, 150.0);
+  const sim::NodeId aliases[] = {sim::kNonBeaconIdBase + 700,
+                                 sim::kNonBeaconIdBase + 701};
+  net_.add_alias(aliases[0], benign);
+  net_.add_alias(aliases[1], mal);
+
+  for (const sim::NodeId alias : aliases) {
+    sim::BeaconRequestPayload req;
+    req.nonce = alias;
+    net_.channel().unicast(requester, authed(requester.id(), alias,
+                                             sim::MsgType::kBeaconRequest,
+                                             req.serialize()));
+  }
+  net_.run();
+
+  EXPECT_EQ(ctx_.metrics.mac_failures, 0u);
+  ASSERT_EQ(requester.inbox.size(), 2u);
+  for (const auto& delivery : requester.inbox) {
+    const auto& reply = delivery.msg;
+    EXPECT_TRUE(reply.src == benign.id() || reply.src == mal.id());
+    EXPECT_EQ(reply.dst, requester.id());
+    EXPECT_TRUE(crypto::verify_mac(
+        ctx_.keys.pairwise_key(reply.src, reply.dst), reply.src, reply.dst,
+        reply.payload, reply.mac))
+        << "reply from " << reply.src;
+  }
+}
+
 TEST_F(NodeProtocolTest, MaliciousBeaconAppliesItsStrategy) {
   attack::MaliciousBeaconStrategy strategy(
       attack::MaliciousStrategyConfig::with_effectiveness(1.0), 99);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -83,15 +85,27 @@ TEST(Rssi, ZeroDistanceSupported) {
 }
 
 TEST(Rssi, ConfigValidation) {
-  RssiConfig bad;
-  bad.max_error_ft = -1.0;
-  EXPECT_THROW(RssiRangingModel{bad}, std::invalid_argument);
-  bad = RssiConfig{};
-  bad.path_loss_exponent = 0.0;
-  EXPECT_THROW(RssiRangingModel{bad}, std::invalid_argument);
-  bad = RssiConfig{};
-  bad.reference_distance_ft = 0.0;
-  EXPECT_THROW(RssiRangingModel{bad}, std::invalid_argument);
+  // NaN compares false, so a check written as `bound < 0` lets it through;
+  // a NaN or infinite bound then reads every distance as 0 ft.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const struct {
+    double RssiConfig::*field;
+    std::vector<double> bad;
+  } cases[] = {
+      {&RssiConfig::max_error_ft, {-1.0, kNaN, kInf}},
+      {&RssiConfig::path_loss_exponent, {0.0, -2.0, kNaN, kInf}},
+      {&RssiConfig::reference_distance_ft, {0.0, kNaN, kInf}},
+      {&RssiConfig::shadowing_sigma_db, {-1.0, kNaN, kInf}},
+  };
+  for (const auto& c : cases) {
+    for (const double value : c.bad) {
+      RssiConfig bad;
+      bad.*c.field = value;
+      EXPECT_THROW(RssiRangingModel{bad}, std::invalid_argument) << value;
+    }
+  }
+  EXPECT_NO_THROW(RssiRangingModel{RssiConfig{}});
 }
 
 TEST(Rssi, NegativeDistanceRejected) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "sim/time.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -57,9 +59,17 @@ TEST(MoteTimingModel, RejectsNegativeInputs) {
   MoteTimingModel model;
   util::Rng rng(3);
   EXPECT_THROW(model.sample_rtt_cycles(-1.0, rng), std::invalid_argument);
-  MoteTimingConfig bad;
-  bad.edge_base_cycles = -1.0;
-  EXPECT_THROW(MoteTimingModel{bad}, std::invalid_argument);
+  for (double MoteTimingConfig::*field :
+       {&MoteTimingConfig::edge_base_cycles,
+        &MoteTimingConfig::edge_jitter_cycles}) {
+    for (const double value :
+         {-1.0, std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity()}) {
+      MoteTimingConfig bad;
+      bad.*field = value;
+      EXPECT_THROW(MoteTimingModel{bad}, std::invalid_argument) << value;
+    }
+  }
 }
 
 TEST(Calibration, TenThousandSamplesReproduceFigure4) {

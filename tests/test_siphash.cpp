@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <span>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace sld::crypto {
 namespace {
@@ -123,6 +126,42 @@ TEST(DeriveKey, DistinctMastersGiveDistinctKeys) {
   Key128 b = reference_key();
   b[15] ^= 0x80;
   EXPECT_NE(derive_key(a, 7), derive_key(b, 7));
+}
+
+// Both ends of a link derive their key with the same function, so a wrong
+// derivation keeps every MAC valid and every bench output unchanged; only
+// a check against the definition sees it.
+TEST(DeriveKey, IsTheTwoSipHashHalvesOfItsDefinition) {
+  const auto expected = [](const Key128& master, std::uint64_t label) {
+    const std::uint64_t halves[2] = {siphash24_u64(master, label * 2),
+                                     siphash24_u64(master, label * 2 + 1)};
+    Key128 k{};
+    for (std::size_t i = 0; i < 16; ++i)
+      k[i] = static_cast<std::uint8_t>(halves[i / 8] >> (8 * (i % 8)));
+    return k;
+  };
+  util::Rng rng(0xde71e);
+  for (int trial = 0; trial < 200; ++trial) {
+    Key128 master{};
+    for (auto& b : master) b = static_cast<std::uint8_t>(rng());
+    // A random label, one >= 2^63 (where 2 * label wraps), and both ends.
+    for (const std::uint64_t label :
+         {rng(), rng() | (std::uint64_t{1} << 63), std::uint64_t{0},
+          ~std::uint64_t{0}}) {
+      EXPECT_EQ(derive_key(master, label), expected(master, label))
+          << "trial " << trial << " label " << label;
+    }
+  }
+}
+
+TEST(DeriveKey, KnownAnswers) {
+  const Key128 master = reference_key();
+  EXPECT_EQ(derive_key(master, 0x0123456789abcdefULL),
+            (Key128{0x9a, 0x9a, 0x39, 0x5e, 0xc6, 0x7b, 0x2c, 0xe6, 0xd1,
+                    0xd0, 0xe8, 0xf9, 0x05, 0x3a, 0xb8, 0xb1}));
+  EXPECT_EQ(derive_key(master, 0x8000000000000001ULL),
+            (Key128{0x6d, 0xeb, 0x30, 0xfa, 0xf1, 0x30, 0xf0, 0x2c, 0x86,
+                    0x35, 0xdc, 0x0b, 0x3a, 0xf7, 0x08, 0x3e}));
 }
 
 }  // namespace

@@ -172,6 +172,38 @@ TEST(SystemConfigValidation, NonFiniteOrNonPositiveRangeIsRejected) {
   }
 }
 
+TEST(SystemConfigValidation, NonFiniteRangingBoundsAreRejected) {
+  // A NaN or infinite error bound used to construct a system in which
+  // every measured distance read 0 ft and no malicious beacon was revoked;
+  // a NaN timing parameter failed in the RTT calibration under no field's
+  // name.
+  using Set = void (*)(SystemConfig&, double);
+  const std::pair<const char*, Set> fields[] = {
+      {"max_error_ft",
+       [](SystemConfig& c, double v) { c.rssi.max_error_ft = v; }},
+      {"path_loss_exponent",
+       [](SystemConfig& c, double v) { c.rssi.path_loss_exponent = v; }},
+      {"reference_distance_ft",
+       [](SystemConfig& c, double v) { c.rssi.reference_distance_ft = v; }},
+      {"shadowing_sigma_db",
+       [](SystemConfig& c, double v) { c.rssi.shadowing_sigma_db = v; }},
+      {"max_sync_error_ns",
+       [](SystemConfig& c, double v) { c.toa.max_sync_error_ns = v; }},
+      {"edge_base_cycles",
+       [](SystemConfig& c, double v) { c.timing.edge_base_cycles = v; }},
+      {"edge_jitter_cycles",
+       [](SystemConfig& c, double v) { c.timing.edge_jitter_cycles = v; }},
+  };
+  for (const auto& [field, set] : fields) {
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+      SystemConfig c = small_config();
+      set(c, bad);
+      expect_rejected(c, field);
+    }
+  }
+}
+
 TEST(SystemConfigValidation, ClearThresholdAboveQuarantineThresholdIsRejected) {
   // Quarantine needs evidence above tau2 and clears below clear_threshold,
   // so a clear_threshold above tau2 clears every quarantine at once.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <limits>
 #include <sstream>
 
 namespace sld::util {
@@ -62,6 +64,22 @@ TEST(Table, Rfc4180QuotesSpecialCells) {
             "label,\"note, with comma\"\n"
             "plain,\"says \"\"hi\"\"\"\n"
             "\"multi\nline\",\"trailing\r\"\n");
+}
+
+TEST(Table, LargeUnsignedCellsPrintUnsigned) {
+  // Checksums use all 64 bits; a count cell used to print 2^63 and up as
+  // a negative number.
+  Table t({"u", "s"});
+  t.row().cell(std::size_t{1} << 63).cell(-5LL);
+  t.row().cell(std::numeric_limits<std::size_t>::max()).cell(
+      std::numeric_limits<long long>::min());
+  std::ostringstream os;
+  t.print_csv(os, "wide");
+  EXPECT_EQ(os.str(),
+            "# wide\n"
+            "u,s\n"
+            "9223372036854775808,-5\n"
+            "18446744073709551615,-9223372036854775808\n");
 }
 
 TEST(Table, Rfc4180LeavesPlainCellsUnquoted) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "ranging/toa.hpp"
 #include "util/rng.hpp"
@@ -33,9 +34,13 @@ TEST(Toa, NonNegativeAndValidated) {
   util::Rng rng(3);
   EXPECT_GE(model.measure_manipulated(1.0, -1000.0, rng), 0.0);
   EXPECT_THROW(model.measure(-1.0, rng), std::invalid_argument);
-  ranging::ToaConfig bad;
-  bad.max_sync_error_ns = -1.0;
-  EXPECT_THROW(ranging::ToaRangingModel{bad}, std::invalid_argument);
+  for (const double value : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    ranging::ToaConfig bad;
+    bad.max_sync_error_ns = value;
+    EXPECT_THROW(ranging::ToaRangingModel{bad}, std::invalid_argument)
+        << value;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Mutation smoke test: applies 29 curated single-line mutants to the
+# Mutation smoke test: applies 32 curated single-line mutants to the
 # detection/revocation/sim/crypto/core/obs/ranging sources and verifies the
 # test suite kills every one (at least one registered test fails per
 # mutant). A mutant that survives means a guard has no test teeth — the
@@ -145,6 +145,18 @@ add_mutant "radix-refill-first-not-min" \
   "  last_ = buckets_[b].front().when;" \
   "test_event_queue"
 
+add_mutant "slot-freed-before-run" \
+  "src/sim/event.hpp" \
+  "    const SlotRelease release{slots_, item.slot};" \
+  "    slots_.release(item.slot);" \
+  "test_event_queue"
+
+add_mutant "derive-key-reuses-first-half" \
+  "src/crypto/siphash.cpp" \
+  "  hi_state.compress(label * 2 + 1);" \
+  "  hi_state.compress(label * 2);" \
+  "test_siphash"
+
 add_mutant "detector-swallow-alert" \
   "src/detection/detector.cpp" \
   "outcome = ProbeOutcome::kAlert;" \
@@ -162,6 +174,12 @@ add_mutant "wormhole-link-pass-nan-range" \
   "  if (!(link.exit_range_ft > 0.0 && std::isfinite(link.exit_range_ft)))" \
   "  if (link.exit_range_ft <= 0.0)" \
   "test_channel"
+
+add_mutant "rssi-bound-pass-nan" \
+  "src/ranging/rssi.cpp" \
+  "  if (!(config_.max_error_ft >= 0.0 && std::isfinite(config_.max_error_ft)))" \
+  "  if (config_.max_error_ft < 0.0)" \
+  "test_rssi"
 
 add_mutant "wormhole-rate-pass-nan" \
   "src/ranging/wormhole_detector.cpp" \
@@ -184,7 +202,7 @@ add_mutant "pending-reply-keeps-entry" \
 
 add_mutant "requester-accepts-any-responder" \
   "src/core/nodes.cpp" \
-  "  if (delivery.msg.src != request.target) return std::nullopt;
+  "  if (msg.src != request.target) return std::nullopt;
 " \
   "" \
   "test_nodes"
