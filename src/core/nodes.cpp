@@ -445,18 +445,17 @@ void BeaconNode::schedule_probes() {
   // Probe every target beacon once per detecting ID, staggered so the
   // event queue interleaves nodes deterministically but not degenerately.
   // At start() this begins at probe_phase_start exactly as the seed did;
-  // after a reboot it begins at the current time instead.
-  sim::SimTime at =
-      std::max(scheduler().now(), ctx_.config.probe_phase_start);
-  for (const auto target : probe_targets_) {
-    for (const auto detecting_id : detecting_ids_) {
-      at += ctx_.config.transmission_stagger;
-      schedule_timer_at(at, [this, target, detecting_id]() {
-        send_request({.target = target, .from = detecting_id},
+  // after a reboot it begins at the current time instead. The series
+  // keeps only its next probe queued.
+  schedule_timer_series(
+      std::max(scheduler().now(), ctx_.config.probe_phase_start),
+      ctx_.config.transmission_stagger,
+      probe_targets_.size() * detecting_ids_.size(), [this](std::size_t k) {
+        const std::size_t m = detecting_ids_.size();
+        send_request({.target = probe_targets_[k / m],
+                      .from = detecting_ids_[k % m]},
                      /*is_retransmission=*/false);
       });
-    }
-  }
 }
 
 void BeaconNode::on_crash(sim::SimTime) {
@@ -588,15 +587,13 @@ void SensorNode::schedule_queries() {
   // at most one reference, so both tables stay within these sizes.
   pending_.reserve(query_targets_.size());
   accepted_.reserve(query_targets_.size());
-  sim::SimTime at =
-      std::max(scheduler().now(), ctx_.config.sensor_phase_start);
-  for (const auto target : query_targets_) {
-    at += ctx_.config.transmission_stagger;
-    schedule_timer_at(at, [this, target]() {
-      send_request({.target = target, .from = id()},
-                   /*is_retransmission=*/false);
-    });
-  }
+  schedule_timer_series(
+      std::max(scheduler().now(), ctx_.config.sensor_phase_start),
+      ctx_.config.transmission_stagger, query_targets_.size(),
+      [this](std::size_t k) {
+        send_request({.target = query_targets_[k], .from = id()},
+                     /*is_retransmission=*/false);
+      });
 }
 
 void SensorNode::on_crash(sim::SimTime) {

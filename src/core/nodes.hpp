@@ -348,7 +348,8 @@ class BeaconNode final : public Requester {
  private:
   void handle_probe_reply(const sim::Delivery& delivery);
   /// (Re)schedules one probe per (target, detecting id), staggered from
-  /// max(now, probe_phase_start) — start() and post-reboot restarts share it.
+  /// max(now, probe_phase_start), as one timer series: start() and
+  /// post-reboot restarts share it.
   void schedule_probes();
 
   std::vector<sim::NodeId> detecting_ids_;
@@ -411,7 +412,8 @@ class SensorNode final : public Requester {
   };
 
   /// (Re)schedules one query per target, staggered from
-  /// max(now, sensor_phase_start) — start() and post-reboot restarts.
+  /// max(now, sensor_phase_start), as one timer series: start() and
+  /// post-reboot restarts.
   void schedule_queries();
 
   std::vector<sim::NodeId> query_targets_;

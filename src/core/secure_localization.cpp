@@ -1,9 +1,12 @@
 #include "core/secure_localization.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "attack/collusion.hpp"
 #include "attack/wormhole.hpp"
@@ -14,6 +17,52 @@
 namespace sld::core {
 
 namespace {
+/// Rejects a schedule that would start before 0, run backwards, or plan a
+/// time past SimTime's range (the arithmetic would overflow in run()).
+/// Every bound is the latest time a node can plan: a beacon that reboots
+/// just before the sensor phase restarts all its probes, and a sensor
+/// restarts its queries at its last reboot.
+void check_schedule(const SystemConfig& config) {
+  if (config.probe_phase_start < 0)
+    throw std::invalid_argument("SystemConfig: probe_phase_start before 0");
+  if (config.transmission_stagger < 0)
+    throw std::invalid_argument("SystemConfig: transmission_stagger negative");
+  const sim::SimTime stagger = config.transmission_stagger;
+  const std::uint64_t beacons = config.deployment.beacon_count;
+  const auto per_target = sim::offset_time(0, config.detecting_ids, stagger);
+  if (!per_target ||
+      !sim::offset_time(config.sensor_phase_start, beacons, *per_target))
+    throw std::invalid_argument(
+        "SystemConfig: the last probe, sensor_phase_start + beacon_count * "
+        "detecting_ids * transmission_stagger, is past SimTime");
+  sim::SimTime last_restart = config.sensor_phase_start;
+  for (const sim::CrashWindow& w : config.faults.crashes)
+    last_restart = std::max(last_restart, w.end);
+  if (!sim::offset_time(last_restart, beacons, stagger))
+    throw std::invalid_argument(
+        "SystemConfig: the last query, sensor_phase_start (or the last "
+        "faults.crashes reboot) + beacon_count * transmission_stagger, is "
+        "past SimTime");
+  const auto stragglers = sim::offset_time(
+      config.sensor_phase_start, config.deployment.total_nodes + 2, stagger);
+  if (!stragglers || !sim::offset_time(*stragglers, 1, sim::kSecond))
+    throw std::invalid_argument(
+        "SystemConfig: the finalize time, sensor_phase_start + (total_nodes "
+        "+ 2) * transmission_stagger + 1 s, is past SimTime");
+  if (config.storm.flood_alerts_per_colluder == 0) return;
+  if (!(config.storm.zipf_exponent > 0.0))
+    throw std::invalid_argument(
+        "SystemConfig: storm.zipf_exponent must be > 0");
+  if (config.storm.duration_ns < 1)
+    throw std::invalid_argument(
+        "SystemConfig: storm.duration_ns must be positive");
+  if (!sim::offset_time(config.probe_phase_start, 1,
+                        config.storm.duration_ns - 1))
+    throw std::invalid_argument(
+        "SystemConfig: the last flood alert, probe_phase_start + "
+        "storm.duration_ns, is past SimTime");
+}
+
 /// Rejects the settings a trial would otherwise drop without a word.
 const SystemConfig& validated(const SystemConfig& config) {
   if (!config.slo_rules.empty() && !config.telemetry.enabled)
@@ -38,6 +87,7 @@ const SystemConfig& validated(const SystemConfig& config) {
         config.deployment.comm_range_ft > 0.0))
     throw std::invalid_argument(
         "SystemConfig: deployment.comm_range_ft must be finite and positive");
+  check_schedule(config);
   // A beacon is quarantined above tau2 and cleared below clear_threshold;
   // a clear_threshold above tau2 would clear every quarantine at once.
   if (config.revocation.lifecycle.enabled &&
@@ -47,6 +97,28 @@ const SystemConfig& validated(const SystemConfig& config) {
         "SystemConfig: revocation.lifecycle.clear_threshold above "
         "revocation.alert_threshold");
   return config;
+}
+
+/// Sorts `items` by their non-negative `at`, keeping the order of equal
+/// times: a least-significant-digit radix sort, one byte per pass, that
+/// skips the bytes every time shares.
+template <typename T>
+void sort_by_time(std::vector<T>& items) {
+  std::vector<T> out(items.size());
+  for (unsigned shift = 0; shift < 64; shift += 8) {
+    std::array<std::size_t, 256> count{};
+    const auto digit = [shift](const T& item) {
+      return static_cast<std::size_t>(
+          (static_cast<std::uint64_t>(item.at) >> shift) & 0xff);
+    };
+    for (const T& item : items) ++count[digit(item)];
+    if (std::find(count.begin(), count.end(), items.size()) != count.end())
+      continue;
+    std::size_t start = 0;
+    for (std::size_t& c : count) start += std::exchange(c, start);
+    for (const T& item : items) out[count[digit(item)]++] = item;
+    items.swap(out);
+  }
 }
 }  // namespace
 
@@ -215,8 +287,8 @@ void SecureLocalizationSystem::schedule_collusion() {
   util::Rng storm_rng = ctx_->rng.fork(0x57024);
   const util::ZipfSampler zipf(benign_targets.size(),
                                config_.storm.zipf_exponent);
-  const auto window = static_cast<std::uint64_t>(
-      std::max<sim::SimTime>(config_.storm.duration_ns, 1));
+  const auto window = static_cast<std::uint64_t>(config_.storm.duration_ns);
+  flood_.reserve(colluders.size() * config_.storm.flood_alerts_per_colluder);
   for (const auto c : colluders) {
     for (std::size_t i = 0; i < config_.storm.flood_alerts_per_colluder;
          ++i) {
@@ -225,11 +297,27 @@ void SecureLocalizationSystem::schedule_collusion() {
       const sim::SimTime at =
           config_.probe_phase_start +
           static_cast<sim::SimTime>(storm_rng.uniform_u64(window));
-      network_.scheduler().schedule_at(at, [this, c, victim]() {
-        ctx_->submit_alert(c, victim, /*collusion_alert=*/true);
-      });
+      flood_.push_back({at, static_cast<std::uint32_t>(flood_.size()), c,
+                        victim});
     }
   }
+  // The flood runs as one series in (time, draw order): the order the
+  // scheduler gives the same alerts scheduled one by one in draw order.
+  sort_by_time(flood_);
+  sim::Scheduler& sched = network_.scheduler();
+  flood_series_ = sched.reserve(flood_.size());
+  sched.schedule_reserved(flood_.front().at, flood_series_,
+                          flood_.front().draw, [this]() { run_flood(0); });
+}
+
+void SecureLocalizationSystem::run_flood(std::size_t j) {
+  if (j + 1 < flood_.size()) {
+    const FloodAlert& next = flood_[j + 1];
+    network_.scheduler().schedule_reserved(next.at, flood_series_, next.draw,
+                                           [this, j]() { run_flood(j + 1); });
+  }
+  const FloodAlert& alert = flood_[j];
+  ctx_->submit_alert(alert.reporter, alert.victim, /*collusion_alert=*/true);
 }
 
 void SecureLocalizationSystem::schedule_framing() {

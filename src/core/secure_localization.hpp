@@ -137,8 +137,21 @@ class SecureLocalizationSystem {
     obs::MemScopeStats delta() const;
   };
 
+  /// One alert of the colluders' flood, and its place in draw order.
+  struct FloodAlert {
+    sim::SimTime at = 0;
+    std::uint32_t draw = 0;
+    sim::NodeId reporter = 0;
+    sim::NodeId victim = 0;
+  };
+
   void build_nodes();
+  /// Submits the collusion plan's alerts and plans the alert-storm flood
+  /// as one series in (time, draw order) (see run_flood).
   void schedule_collusion();
+  /// Schedules flood alert j + 1, then submits alert j: only the next
+  /// alert of the flood waits in the queue.
+  void run_flood(std::size_t j);
   /// Schedules the coverage-directed framing plan (attack/framing). No-op
   /// — and draws no randomness — unless config.framing.enabled.
   void schedule_framing();
@@ -167,6 +180,8 @@ class SecureLocalizationSystem {
   std::vector<SensorNode*> sensor_nodes_;
   crypto::DetectingIdRegistry detecting_registry_;
   std::vector<MemBaseline> mem_;
+  std::vector<FloodAlert> flood_;  // by (at, draw)
+  sim::Scheduler::Reservation flood_series_;
   sim::HotStats hot_;
   /// Gauges the presample hook sets (nullptr when not registered).
   obs::Gauge* breaker_gauge_ = nullptr;     // bs.ingest.breaker_state

@@ -25,18 +25,59 @@ void EventQueue::place(const Item& item) {
   bucket.push_back(item);
 }
 
-void EventQueue::push(SimTime when, SimTime queued_at, Action&& action) {
-  SLD_MEM_SCOPE("scheduler");
+auto EventQueue::store(SimTime when, SimTime queued_at, std::uint32_t seq,
+                       Action&& action) -> Item {
   if (when < last_)
     throw std::logic_error("EventQueue::push: time before the last pop");
   const std::uint32_t slot = slots_.acquire();
   Slot& waiting = slots_[slot];
   waiting.action = std::move(action);
   waiting.queued_at = queued_at;
-  place(Item{when, slot});
+  return Item{when, slot, seq};
+}
+
+void EventQueue::note_push() {
   ++size_;
   if (hot_ != nullptr && hot_->queue_depth != nullptr)
     hot_->queue_depth->observe(static_cast<double>(size_));
+}
+
+void EventQueue::push(SimTime when, SimTime queued_at, Action&& action) {
+  SLD_MEM_SCOPE("scheduler");
+  if (next_seq_ == kSeqLimit)
+    throw std::overflow_error("EventQueue::push: sequence numbers used up");
+  place(store(when, queued_at, static_cast<std::uint32_t>(next_seq_),
+              std::move(action)));
+  ++next_seq_;
+  note_push();
+}
+
+std::uint32_t EventQueue::reserve(std::uint64_t n) {
+  if (n > kSeqLimit - next_seq_)
+    throw std::overflow_error("EventQueue::reserve: sequence numbers used up");
+  const auto first = static_cast<std::uint32_t>(next_seq_);
+  next_seq_ += n;
+  return first;
+}
+
+void EventQueue::push_reserved(SimTime when, SimTime queued_at,
+                               std::uint32_t seq, Action&& action) {
+  SLD_MEM_SCOPE("scheduler");
+  if (seq >= next_seq_)
+    throw std::logic_error("EventQueue::push_reserved: seq not reserved");
+  const Item item = store(when, queued_at, seq, std::move(action));
+  if (when != last_) {
+    place(item);
+  } else {
+    // Bucket 0 is being read in seq order: join it at this seq's place
+    // among the events still pending.
+    std::vector<Item>& ready = buckets_[0];
+    if (ready.size() == ready.capacity())
+      ready.reserve(std::max(2 * ready.capacity(), kFirstCapacity));
+    const auto pending = ready.begin() + static_cast<std::ptrdiff_t>(head_);
+    ready.insert(std::upper_bound(pending, ready.end(), item, by_seq), item);
+  }
+  note_push();
 }
 
 SimTime EventQueue::next_time() const {
@@ -56,6 +97,10 @@ std::uint64_t EventQueue::refill() {
   for (const Item& item : from) place(item);
   const std::uint64_t moved = from.size();
   from.clear();
+  // Equal times arrive in push order, which reserved pushes can break.
+  std::vector<Item>& ready = buckets_[0];
+  if (!std::is_sorted(ready.begin(), ready.end(), by_seq))
+    std::sort(ready.begin(), ready.end(), by_seq);
   return moved;
 }
 
@@ -86,6 +131,7 @@ void EventQueue::clear() {
   head_ = 0;
   last_ = 0;
   size_ = 0;
+  next_seq_ = 0;
   slots_.clear();
   moves_ = 0;
 }

@@ -50,7 +50,10 @@ FaultInjector::FaultInjector(FaultPlan plan, util::Rng rng)
   check_p(plan_.burst.loss_bad, "burst bad-state loss");
   for (const auto& [node, p] : plan_.node_loss) check_p(p, "node loss");
   for (const auto& [link, p] : plan_.link_loss) check_p(p, "link loss");
+  // A window's transitions are scheduled when the trial starts, at 0.
   for (const auto& w : plan_.crashes) {
+    if (w.start < 0)
+      throw std::invalid_argument("FaultPlan: crash window starts before 0");
     if (w.end <= w.start)
       throw std::invalid_argument("FaultPlan: empty crash window");
   }
@@ -63,6 +66,9 @@ FaultInjector::FaultInjector(FaultPlan plan, util::Rng rng)
     throw std::invalid_argument("FaultPlan: non-positive drift turnaround");
   partition_sides_.reserve(plan_.partitions.size());
   for (const auto& p : plan_.partitions) {
+    if (p.start < 0)
+      throw std::invalid_argument(
+          "FaultPlan: partition window starts before 0");
     if (p.end <= p.start)
       throw std::invalid_argument("FaultPlan: empty partition window");
     if (p.side_a.empty())

@@ -43,6 +43,16 @@ bool Node::alive_at(SimTime now) const {
   return true;
 }
 
+void Node::check_series(SimTime start, SimTime step,
+                        std::size_t count) const {
+  if (start < scheduler().now())
+    throw std::invalid_argument("Node: timer series starts in the past");
+  if (step < 0)
+    throw std::invalid_argument("Node: timer series with a negative step");
+  if (!offset_time(start, count, step))
+    throw std::overflow_error("Node: timer series ends past SimTime");
+}
+
 bool Node::timer_may_fire(std::uint32_t epoch) {
   if (epoch != boot_epoch_ || !alive_at(scheduler_->now())) {
     ++timers_dropped_;

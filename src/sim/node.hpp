@@ -99,7 +99,52 @@ class Node {
         });
   }
 
+  /// Plans `count` timers owned by this node, `step` apart after `start`:
+  /// timer k (from 0) runs `action(k)` at `start + (k + 1) * step`. They
+  /// run, and are dropped, exactly as `count` schedule_timer_at calls made
+  /// now would, but only the next one waits in the queue: the series
+  /// reserves its places among same-time events now, and each timer
+  /// schedules its successor, also when the fence drops it. Throws
+  /// std::invalid_argument if `start` is before now or `step` is negative,
+  /// and std::overflow_error if the last time does not fit SimTime.
+  template <typename F>
+  void schedule_timer_series(SimTime start, SimTime step, std::size_t count,
+                             F action) {
+    check_series(start, step, count);
+    if (count == 0) return;
+    const Scheduler::Reservation series = scheduler().reserve(count);
+    scheduler().schedule_reserved(
+        start + step, series, 0,
+        SeriesTimer<F>{this, series, step, 0, boot_epoch_, std::move(action)});
+  }
+
  private:
+  /// One timer of a series: it schedules the next, then runs its fence.
+  /// 48 bytes with a one-pointer action, so it fits an Action's buffer.
+  template <typename F>
+  struct SeriesTimer {
+    Node* node;
+    Scheduler::Reservation series;
+    SimTime step;
+    std::uint32_t k;
+    std::uint32_t epoch;
+    F action;
+
+    void operator()() {
+      Scheduler& sched = *node->scheduler_;
+      if (k + 1 < series.count) {
+        SeriesTimer next = *this;
+        ++next.k;
+        sched.schedule_reserved(sched.now() + step, series, next.k,
+                                std::move(next));
+      }
+      if (node->timer_may_fire(epoch)) action(k);
+    }
+  };
+
+  /// The argument checks of schedule_timer_series.
+  void check_series(SimTime start, SimTime step, std::size_t count) const;
+
   /// The fence in front of every node timer: false, with the timer counted
   /// in timers_dropped(), if the node rebooted after `epoch` or is down now.
   bool timer_may_fire(std::uint32_t epoch);

@@ -1,5 +1,6 @@
 #include "sim/scheduler.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 #include "check/invariant.hpp"
@@ -16,7 +17,28 @@ void Scheduler::schedule_at(SimTime when, Action action) {
 void Scheduler::schedule_after(SimTime delay, Action action) {
   if (delay < 0)
     throw std::invalid_argument("Scheduler::schedule_after: negative delay");
+  if (delay > std::numeric_limits<SimTime>::max() - now_)
+    throw std::overflow_error("Scheduler::schedule_after: past SimTime");
   queue_.push(now_ + delay, now_, std::move(action));
+  note_depth();
+}
+
+auto Scheduler::reserve(std::size_t count) -> Reservation {
+  if (count > std::numeric_limits<std::uint32_t>::max())
+    throw std::overflow_error("Scheduler::reserve: series too long");
+  const std::uint32_t first = queue_.reserve(count);
+  return Reservation{now_, first, static_cast<std::uint32_t>(count)};
+}
+
+void Scheduler::schedule_reserved(SimTime when, const Reservation& series,
+                                  std::uint32_t k, Action action) {
+  if (k >= series.count)
+    throw std::invalid_argument("Scheduler::schedule_reserved: k past count");
+  if (when < now_)
+    throw std::invalid_argument(
+        "Scheduler::schedule_reserved: time in the past");
+  queue_.push_reserved(when, series.planned_at, series.first + k,
+                       std::move(action));
   note_depth();
 }
 

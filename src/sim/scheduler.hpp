@@ -10,10 +10,20 @@
 namespace sld::sim {
 
 /// Owns virtual time and the event queue; advances time by executing events
-/// in (time, FIFO) order.
+/// in (time, sequence) order: same-time events run in the order they were
+/// scheduled, or reserved (see sim/event.hpp).
 class Scheduler {
  public:
   using TimeProbe = std::function<void(SimTime)>;
+
+  /// The places of `count` events planned at `planned_at` among their
+  /// same-time peers; event k of the series is scheduled later with
+  /// schedule_reserved.
+  struct Reservation {
+    SimTime planned_at = 0;
+    std::uint32_t first = 0;
+    std::uint32_t count = 0;
+  };
 
   SimTime now() const { return now_; }
 
@@ -33,8 +43,20 @@ class Scheduler {
   /// moved once more, into the queue's slot, and runs there.
   void schedule_at(SimTime when, Action action);
 
-  /// Schedules `action` `delay` nanoseconds from now (delay >= 0).
+  /// Schedules `action` `delay` nanoseconds from now (delay >= 0, and
+  /// now + delay within SimTime's range).
   void schedule_after(SimTime delay, Action action);
+
+  /// Reserves the places of `count` events planned now, the ones `count`
+  /// schedule_at calls made now would take. Throws std::overflow_error
+  /// when the queue's sequence numbers run out.
+  Reservation reserve(std::size_t count);
+
+  /// Schedules event `k` of `series` at `when` (>= now). It runs among
+  /// the events at `when` as if scheduled when the series was reserved,
+  /// and its wait is counted from then.
+  void schedule_reserved(SimTime when, const Reservation& series,
+                         std::uint32_t k, Action action);
 
   /// Runs until the queue is empty or `max_events` have executed.
   /// Returns the number of events executed.

@@ -4,11 +4,24 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 namespace sld::sim {
 
 /// Virtual time in nanoseconds since simulation start.
 using SimTime = std::int64_t;
+
+/// `base + count * step`, or nullopt if a step of the sum leaves SimTime's
+/// range: how a planned schedule checks its last time before it starts.
+constexpr std::optional<SimTime> offset_time(SimTime base, std::uint64_t count,
+                                             SimTime step) {
+  SimTime span = 0;
+  SimTime sum = 0;
+  if (__builtin_mul_overflow(count, step, &span) ||
+      __builtin_add_overflow(base, span, &sum))
+    return std::nullopt;
+  return sum;
+}
 
 inline constexpr SimTime kNanosecond = 1;
 inline constexpr SimTime kMicrosecond = 1000 * kNanosecond;

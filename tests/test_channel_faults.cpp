@@ -1,13 +1,19 @@
 // Fault-injection coverage: i.i.d. and bursty loss, duplication,
-// corruption-rejected-by-MAC, crash windows, delay jitter, and the ARQ
-// timeout schedule — all with deterministic seeds.
+// corruption-rejected-by-MAC, crash windows (and a chained timer series
+// across one), delay jitter, and the ARQ timeout schedule — all with
+// deterministic seeds.
 #include "sim/faults.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "check/invariant.hpp"
@@ -320,6 +326,125 @@ TEST(FaultPlan, CrashDropsOwnedTimersAndRebootFencesOldEpoch) {
   // The drops were clean refusals, not invariant violations: no timer
   // body ever ran while its owner was down.
   EXPECT_EQ(check::invariant_failure_count(), violations_before);
+}
+
+/// Plans kCount timers kStep apart, from one step after now, at start and
+/// again at every reboot, like a beacon's probes: as one chained series or
+/// up front, one timer each. Records when each one fires.
+class SeriesNode final : public Node {
+ public:
+  static constexpr SimTime kStep = 100 * kMillisecond;
+  static constexpr std::size_t kCount = 30;
+
+  SeriesNode(NodeId id, bool chained)
+      : Node(id, util::Vec2{0, 0}, 150.0), chained_(chained) {}
+  void on_message(const Delivery&) override {}
+  void start() override { plan(); }
+  void on_reboot(SimTime, SimTime) override { plan(); }
+
+  std::vector<std::pair<SimTime, std::size_t>> fired;
+
+ private:
+  void plan() {
+    const auto fire = [this](std::size_t k) {
+      fired.emplace_back(scheduler().now(), k);
+    };
+    if (chained_) {
+      schedule_timer_series(scheduler().now(), kStep, kCount, fire);
+      return;
+    }
+    for (std::size_t k = 0; k < kCount; ++k)
+      schedule_timer(static_cast<SimTime>(k + 1) * kStep,
+                     [fire, k]() { fire(k); });
+  }
+
+  bool chained_;
+};
+
+TEST(NodeTimerSeries, MatchesUpFrontTimersAcrossACrashAndReboot) {
+  // The crash drops the first series' timers due while the node is down,
+  // and the reboot's stale epoch the rest; the reboot plans a new series.
+  // A dropped link still schedules its successor, so the chained series
+  // drops, fires and executes exactly what the up-front timers did.
+  const auto run = [](bool chained) {
+    FaultPlan plan;
+    plan.crashes.push_back(CrashWindow{4, 1050 * kMillisecond,
+                                       2200 * kMillisecond});
+    auto net = std::make_unique<Network>(with_faults(plan), 41);
+    net->emplace_node<SeriesNode>(4, chained);
+    net->start_all();
+    net->run();
+    return net;
+  };
+  const auto chained = run(true);
+  const auto up_front = run(false);
+  const auto& c = static_cast<const SeriesNode&>(*chained->node(4));
+  const auto& u = static_cast<const SeriesNode&>(*up_front->node(4));
+  EXPECT_EQ(c.timers_dropped(), 20u);  // t = 1.1 s .. 3.0 s
+  EXPECT_EQ(c.timers_dropped(), u.timers_dropped());
+  EXPECT_EQ(c.fired, u.fired);
+  EXPECT_EQ(c.fired.size(), 10u + SeriesNode::kCount);
+  EXPECT_EQ(chained->scheduler().executed(), up_front->scheduler().executed());
+  // Only the next timer of each series waits in the queue.
+  EXPECT_LT(chained->scheduler().max_pending(),
+            up_front->scheduler().max_pending());
+}
+
+/// Runs `plan` once inside a trial of one node.
+class PlanNode final : public Node {
+ public:
+  explicit PlanNode(std::function<void(PlanNode&)> plan)
+      : Node(1, util::Vec2{0, 0}, 150.0), plan_(std::move(plan)) {}
+  void on_message(const Delivery&) override {}
+  void start() override { plan_(*this); }
+  void series(SimTime start, SimTime step, std::size_t count) {
+    schedule_timer_series(start, step, count, [](std::size_t) {});
+  }
+
+ private:
+  std::function<void(PlanNode&)> plan_;
+};
+
+TEST(NodeTimerSeries, RejectsSeriesThatRunBackwardOrPastSimTime) {
+  const auto start = [](std::function<void(PlanNode&)> plan) {
+    Network net{ChannelConfig{}, 1};
+    net.emplace_node<PlanNode>(std::move(plan));
+    net.start_all();
+    return net.run();
+  };
+  constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
+  EXPECT_THROW(start([](PlanNode& n) { n.series(0, -1, 2); }),
+               std::invalid_argument);
+  EXPECT_THROW(start([](PlanNode& n) { n.series(-1, 1, 2); }),
+               std::invalid_argument);
+  EXPECT_THROW(start([](PlanNode& n) { n.series(kMax - 2, 1, 3); }),
+               std::overflow_error);
+  // The last time exactly at the limit, no timer at all, and a series
+  // whose timers all share one instant are all fine.
+  EXPECT_EQ(start([](PlanNode& n) { n.series(kMax - 3, 1, 3); }), 3u);
+  EXPECT_EQ(start([](PlanNode& n) { n.series(kMax, 1, 0); }), 0u);
+  EXPECT_EQ(start([](PlanNode& n) { n.series(5, 0, 4); }), 4u);
+}
+
+TEST(FaultPlan, WindowsStartingBeforeZeroAreRejected) {
+  // Their transitions would be scheduled in the past when the trial starts.
+  const auto rejects = [](const FaultPlan& plan, const std::string& what) {
+    try {
+      Network net{with_faults(plan), 1};
+      ADD_FAILURE() << "accepted a " << what << " before 0";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  };
+  FaultPlan crash;
+  crash.crashes.push_back(CrashWindow{1, -1, kSecond});
+  rejects(crash, "crash window");
+  FaultPlan partition;
+  partition.partitions.push_back(PartitionWindow{{1}, -kSecond, kSecond});
+  rejects(partition, "partition window");
+  partition.partitions.back().start = 0;
+  EXPECT_NO_THROW((Network{with_faults(partition), 1}));
 }
 
 TEST(FaultPlan, DriftAndPartitionValidationRejected) {

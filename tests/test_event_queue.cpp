@@ -1,9 +1,10 @@
-// Event queue and Action tests: ordering, the FIFO tie-break and the
-// push contract against a sorted reference model, the bound on bucket
-// moves, Action storage — inline without allocating, heap fallback,
-// move-only captures, destruction of actions that never ran — and actions
-// that run in their slot: two moves from schedule to run, nested pushes,
-// a throwing action. Property cases replay with SLD_PROP_SEED.
+// Event queue and Action tests: ordering, the (when, seq) tie-break with
+// reserved pushes and the push contract against a sorted reference model,
+// running out of sequence numbers, the bound on bucket moves, Action
+// storage — inline without allocating, heap fallback, move-only captures,
+// destruction of actions that never ran — and actions that run in their
+// slot: two moves from schedule to run, nested pushes, a throwing action.
+// Property cases replay with SLD_PROP_SEED.
 #include "sim/event.hpp"
 
 #include <gtest/gtest.h>
@@ -120,19 +121,26 @@ TEST(EventQueue, BaseTimeStartsAtZeroAndClearResetsIt) {
   EXPECT_EQ(run_next(q), 2);
 }
 
-// --- the (when, push order) order and the move bound, by property ------------
+// --- the (when, seq) order and the move bound, by property -------------------
 
 /// A push lands `delay` after the last popped time (0 before the first pop
-/// and after a clear), so every push keeps the queue's contract.
+/// and after a clear), so every push keeps the queue's contract. A reserve
+/// takes `count` sequence numbers; a reserved push uses the `pick`-th one
+/// not yet used (modulo how many are left), or is skipped if none is.
 struct QueueOp {
-  enum Kind { kPush, kPop, kClear } kind = kPush;
+  enum Kind { kPush, kReserve, kPushReserved, kPop, kClear } kind = kPush;
   SimTime delay = 0;
+  std::uint64_t count = 0;
+  std::uint64_t pick = 0;
 };
 
 std::string show_ops(const std::vector<QueueOp>& ops) {
   std::ostringstream os;
   for (const auto& op : ops) {
     if (op.kind == QueueOp::kPush) os << "push(+" << op.delay << ") ";
+    if (op.kind == QueueOp::kReserve) os << "reserve(" << op.count << ") ";
+    if (op.kind == QueueOp::kPushReserved)
+      os << "push_reserved(+" << op.delay << ", #" << op.pick << ") ";
     if (op.kind == QueueOp::kPop) os << "pop ";
     if (op.kind == QueueOp::kClear) os << "clear ";
   }
@@ -162,13 +170,22 @@ prop::Gen<std::vector<QueueOp>> queue_ops() {
   prop::Gen<std::vector<QueueOp>> g;
   g.generate = [](util::Rng& rng) {
     const std::size_t n = 1 + rng.uniform_u64(1500);
+    // Half the cases push only fresh numbers; the rest mix in series.
+    const bool series = rng.uniform_u64(2) == 0;
     std::vector<QueueOp> ops(n);
     for (auto& op : ops) {
       const double u = rng.uniform01();
       op.kind = u < 0.58   ? QueueOp::kPush
                 : u < 0.998 ? QueueOp::kPop
                             : QueueOp::kClear;
-      if (op.kind == QueueOp::kPush) op.delay = draw_delay(rng);
+      if (series && op.kind == QueueOp::kPush) {
+        const double v = rng.uniform01();
+        if (v < 0.1) op.kind = QueueOp::kReserve;
+        else if (v < 0.6) op.kind = QueueOp::kPushReserved;
+      }
+      op.delay = draw_delay(rng);
+      op.count = 1 + rng.uniform_u64(8);
+      op.pick = rng.uniform_u64(64);
     }
     return ops;
   };
@@ -187,7 +204,8 @@ prop::Gen<std::vector<QueueOp>> queue_ops() {
 
 TEST(EventQueueProperty, PopOrderMatchesReferenceAndMovesStayBounded) {
   EXPECT_TRUE(prop::forall(
-      "pops follow (when, push order); each item moves at most 63 times",
+      "pops follow (when, seq), reserved pushes included; each item moves "
+      "at most 63 times",
       queue_ops(), [](const std::vector<QueueOp>& ops) {
         EventQueue q;
         // Reference model: pending (when, seq, id), popped by minimum.
@@ -197,19 +215,36 @@ TEST(EventQueueProperty, PopOrderMatchesReferenceAndMovesStayBounded) {
           int id;
         };
         std::vector<Pending> model;
+        std::vector<std::uint32_t> unused;  // reserved, not yet pushed
         std::uint64_t seq = 0;
         std::uint64_t pushes = 0;
         SimTime base = 0;
         int next_id = 0;
         int last_run = -1;
         for (const auto& op : ops) {
+          const SimTime when =
+              base + std::min(op.delay,
+                              std::numeric_limits<SimTime>::max() - base);
           if (op.kind == QueueOp::kPush) {
-            const SimTime when =
-                base + std::min(op.delay,
-                                std::numeric_limits<SimTime>::max() - base);
             const int id = next_id++;
             q.push(when, [id, &last_run]() { last_run = id; });
             model.push_back(Pending{when, seq++, id});
+            ++pushes;
+          } else if (op.kind == QueueOp::kReserve) {
+            const std::uint32_t first = q.reserve(op.count);
+            if (first != seq) return false;
+            for (std::uint64_t k = 0; k < op.count; ++k)
+              unused.push_back(static_cast<std::uint32_t>(seq++));
+          } else if (op.kind == QueueOp::kPushReserved) {
+            if (unused.empty()) continue;
+            const auto at = unused.begin() +
+                            static_cast<std::ptrdiff_t>(op.pick % unused.size());
+            const std::uint32_t mine = *at;
+            unused.erase(at);
+            const int id = next_id++;
+            q.push_reserved(when, when, mine,
+                            [id, &last_run]() { last_run = id; });
+            model.push_back(Pending{when, mine, id});
             ++pushes;
           } else if (op.kind == QueueOp::kPop) {
             if (model.empty()) continue;
@@ -225,8 +260,10 @@ TEST(EventQueueProperty, PopOrderMatchesReferenceAndMovesStayBounded) {
             if (last_run != expected.id) return false;
             base = expected.when;
           } else {
+            // Numbers restart at 0, so a stale reservation is void.
             q.clear();
             model.clear();
+            unused.clear();
             seq = 0;
             pushes = 0;
             base = 0;
@@ -236,6 +273,68 @@ TEST(EventQueueProperty, PopOrderMatchesReferenceAndMovesStayBounded) {
         }
         return true;
       }));
+}
+
+TEST(EventQueue, ReservedPushOrdersAsIfPushedWhenReserved) {
+  EventQueue q;
+  std::vector<int> order;
+  const auto log = [&order](int id) {
+    return [&order, id]() { order.push_back(id); };
+  };
+  const std::uint32_t first = q.reserve(2);  // numbers 0 and 1
+  q.push(10, log(2));                        // number 2
+  q.push(20, log(5));                        // number 3
+  // Number 0 waits in a future bucket behind number 2; the refill that
+  // brings both down to bucket 0 puts them in order.
+  q.push_reserved(10, 0, first, log(1));
+  EXPECT_EQ(run_next(q), 10);
+  q.push(10, log(3));                         // number 4, after number 2
+  q.push_reserved(20, 0, first + 1, log(4));  // number 1, before number 3
+  while (!q.empty()) run_next(q);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+  // A number never handed out is refused.
+  EXPECT_THROW(q.push_reserved(30, 0, 5, log(0)), std::logic_error);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, ReservedPushAtTheCurrentTimeJoinsBucketZeroInOrder) {
+  EventQueue q;
+  std::vector<int> order;
+  const auto log = [&order](int id) {
+    return [&order, id]() { order.push_back(id); };
+  };
+  const std::uint32_t first = q.reserve(3);
+  q.push(5, log(10));
+  q.push(5, log(11));
+  q.push(5, log(12));
+  q.push_reserved(5, 0, first, [&]() {
+    order.push_back(0);
+    // Both land at t = 5 while bucket 0 is being read: number 2 ahead of
+    // the three fresh pushes, number 1 ahead of it.
+    q.push_reserved(5, 0, first + 2, log(2));
+    q.push_reserved(5, 0, first + 1, log(1));
+  });
+  while (!q.empty()) run_next(q);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 10, 11, 12}));
+}
+
+TEST(EventQueue, RunningOutOfSequenceNumbersThrowsInsteadOfWrapping) {
+  EventQueue q;
+  q.push(1, []() {});
+  EXPECT_EQ(q.reserve(EventQueue::kSeqLimit - 2), 1u);
+  q.push(2, []() {});  // the last number, 2^32 - 1
+  EXPECT_THROW(q.push(3, []() {}), std::overflow_error);
+  EXPECT_THROW(q.reserve(1), std::overflow_error);
+  EXPECT_EQ(q.size(), 2u);
+  q.clear();
+  EXPECT_EQ(q.reserve(EventQueue::kSeqLimit), 0u);
+  q.clear();
+  EXPECT_THROW(q.reserve(EventQueue::kSeqLimit + 1), std::overflow_error);
+  q.push(4, []() {});
+  EXPECT_EQ(run_next(q), 4);
+
+  Scheduler s;
+  EXPECT_THROW(s.reserve(std::size_t{1} << 32), std::overflow_error);
 }
 
 // --- Action -----------------------------------------------------------------

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace sld::sim {
@@ -10,6 +15,48 @@ namespace {
 TEST(Scheduler, TimeStartsAtZero) {
   Scheduler s;
   EXPECT_EQ(s.now(), 0);
+  EXPECT_TRUE(s.idle());
+}
+
+TEST(Scheduler, ChainedSeriesRunsAheadOfALaterEventAtTheSameInstant) {
+  // A node plans probes every 50 ms from t = 0, and then a partition is
+  // scheduled to start at t = 100 ms (Network::start_all starts the nodes
+  // before it schedules fault transitions). Scheduled up front, the probe
+  // due at 100 ms runs first. Chained, it is scheduled only when the probe
+  // at 50 ms runs, after the partition; its reserved place still runs it
+  // first.
+  Scheduler s;
+  constexpr SimTime kStep = 50 * kMillisecond;
+  std::vector<std::string> order;
+  const Scheduler::Reservation probes = s.reserve(3);
+  std::function<void(std::uint32_t)> probe = [&](std::uint32_t k) {
+    if (k + 1 < probes.count)
+      s.schedule_reserved(s.now() + kStep, probes, k + 1,
+                          [&probe, k]() { probe(k + 1); });
+    order.push_back("probe@" + std::to_string(s.now() / kMillisecond));
+  };
+  s.schedule_reserved(0, probes, 0, [&probe]() { probe(0); });
+  s.schedule_at(2 * kStep, [&]() { order.push_back("partition.start@100"); });
+  EXPECT_EQ(s.pending(), 2u);
+  s.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"probe@0", "probe@50", "probe@100",
+                                             "partition.start@100"}));
+  EXPECT_EQ(s.max_pending(), 2u);
+}
+
+TEST(Scheduler, ScheduleReservedChecksItsArguments) {
+  Scheduler s;
+  const Scheduler::Reservation series = s.reserve(2);
+  EXPECT_EQ(series.count, 2u);
+  EXPECT_THROW(s.schedule_reserved(5, series, 2, []() {}),
+               std::invalid_argument);
+  s.schedule_at(10, []() {});
+  s.run();
+  EXPECT_THROW(s.schedule_reserved(5, series, 0, []() {}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      s.schedule_after(std::numeric_limits<SimTime>::max() - 5, []() {}),
+      std::overflow_error);
   EXPECT_TRUE(s.idle());
 }
 

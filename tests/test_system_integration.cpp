@@ -160,6 +160,80 @@ TEST(SystemConfigValidation, SensorPhaseBeforeProbePhaseIsRejected) {
   EXPECT_NO_THROW(SecureLocalizationSystem{c});
 }
 
+TEST(SystemConfigValidation, NegativeProbePhaseStartIsRejected) {
+  // The flood starts at probe_phase_start: an alert due before 0 used to
+  // throw "time in the past" from inside run().
+  SystemConfig c = small_config();
+  c.collusion = true;
+  c.storm.flood_alerts_per_colluder = 10;
+  c.probe_phase_start = -sim::kSecond;
+  expect_rejected(c, "probe_phase_start");
+  c.probe_phase_start = 0;
+  EXPECT_NO_THROW(SecureLocalizationSystem{c});
+}
+
+TEST(SystemConfigValidation, NegativeStaggerIsRejected) {
+  // A schedule that runs backwards used to throw from inside run().
+  SystemConfig c = small_config();
+  c.transmission_stagger = -1;
+  expect_rejected(c, "transmission_stagger");
+  c.transmission_stagger = 0;  // every probe of a node at one instant
+  EXPECT_NO_THROW(SecureLocalizationSystem{c});
+}
+
+TEST(SystemConfigValidation, PlannedTimesPastSimTimeAreRejected) {
+  // Each used to overflow SimTime (undefined behaviour) in the schedule
+  // arithmetic of run(). Every bound names the fields it adds up.
+  constexpr sim::SimTime kMax = std::numeric_limits<sim::SimTime>::max();
+  SystemConfig c = small_config();
+  c.transmission_stagger = kMax / 2;
+  expect_rejected(c, "transmission_stagger");
+  c = small_config();
+  c.sensor_phase_start = kMax - 1;
+  expect_rejected(c, "sensor_phase_start");
+  // Probes and queries fit, the finalize time does not.
+  c = small_config();
+  c.detecting_ids = 1;
+  c.sensor_phase_start = kMax - 100 * c.transmission_stagger;
+  expect_rejected(c, "finalize time");
+  // A sensor that reboots restarts its queries then.
+  c = small_config();
+  c.faults.crashes.push_back(
+      {sim::kNonBeaconIdBase, sim::kSecond, kMax - sim::kMillisecond});
+  expect_rejected(c, "faults.crashes");
+  // The flood's last alert.
+  c = small_config();
+  c.collusion = true;
+  c.storm.flood_alerts_per_colluder = 10;
+  c.probe_phase_start = sim::kSecond;
+  c.sensor_phase_start = 2 * sim::kSecond;
+  c.storm.duration_ns = kMax;
+  expect_rejected(c, "storm.duration_ns");
+}
+
+TEST(SystemConfigValidation, NonPositiveZipfExponentIsRejected) {
+  // The Zipf sampler used to throw from inside run().
+  for (const double bad :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    SystemConfig c = small_config();
+    c.collusion = true;
+    c.storm.flood_alerts_per_colluder = 10;
+    c.storm.zipf_exponent = bad;
+    expect_rejected(c, "zipf_exponent");
+  }
+}
+
+TEST(SystemConfigValidation, NonPositiveStormDurationIsRejected) {
+  // A negative window used to run with every flood alert at one instant.
+  for (const sim::SimTime bad : {sim::SimTime{-5}, sim::SimTime{0}}) {
+    SystemConfig c = small_config();
+    c.collusion = true;
+    c.storm.flood_alerts_per_colluder = 10;
+    c.storm.duration_ns = bad;
+    expect_rejected(c, "duration_ns");
+  }
+}
+
 TEST(SystemConfigValidation, NonFiniteOrNonPositiveRangeIsRejected) {
   // A NaN range used to fail deep inside the RTT calibration, under a
   // histogram's name.

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Mutation smoke test: applies 32 curated single-line mutants to the
+# Mutation smoke test: applies 35 curated single-line mutants to the
 # detection/revocation/sim/crypto/core/obs/ranging sources and verifies the
 # test suite kills every one (at least one registered test fails per
 # mutant). A mutant that survives means a guard has no test teeth — the
@@ -240,6 +240,27 @@ add_mutant "fault-burst-unchecked" \
 " \
   "" \
   "test_channel_faults"
+
+add_mutant "reserved-seq-takes-fresh-seq" \
+  "src/sim/event.cpp" \
+  "  const Item item = store(when, queued_at, seq, std::move(action));" \
+  "  const Item item = store(when, queued_at,
+                          static_cast<std::uint32_t>(next_seq_++),
+                          std::move(action));" \
+  "test_scheduler test_event_queue"
+
+add_mutant "fenced-link-ends-chain" \
+  "src/sim/node.hpp" \
+  "      if (k + 1 < series.count) {" \
+  "      if (k + 1 < series.count && epoch == node->boot_epoch_ &&
+          !node->down_) {" \
+  "test_channel_faults"
+
+add_mutant "refill-skips-seq-order" \
+  "src/sim/event.cpp" \
+  "  if (!std::is_sorted(ready.begin(), ready.end(), by_seq))" \
+  "  if (ready.empty())" \
+  "test_event_queue"
 
 # --- helpers --------------------------------------------------------------
 
